@@ -23,6 +23,7 @@ from .duality import (
 )
 from .models import (
     BlackScholesModel,
+    FactorMarket,
     FeedbackPolicy,
     LinearFactor1D,
     PlatenRebolledo,
@@ -56,11 +57,9 @@ from .riccati import (
     theta_sweep,
 )
 from .mc import (
-    Direct,
     PathSample,
     SimConfig,
     SimResult,
-    TiltedSelfNormalized,
     empirical_chebyshev_check,
     estimate_log_laplace,
     estimate_prob,

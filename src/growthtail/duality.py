@@ -143,10 +143,6 @@ class DualCurve:
     The derivative is the model-supplied callable when available and a
     central finite difference (step ``max(1e-6, 1e-6*|theta|)``, shrunk
     and one-sided near domain endpoints) otherwise.
-
-    ``attainment_assumed`` records the standing assumption that an optimal
-    strategy attains the curve value at each interior tilt; the engine
-    cannot verify it for a black-box curve and does not try.
     """
 
     def __init__(
@@ -159,7 +155,6 @@ class DualCurve:
         deriv_at_lower_limit: Optional[float] = None,
         deriv_at_upper_limit: Optional[float] = None,
         steep: Optional[bool] = None,
-        attainment_assumed: bool = True,
         name: str = "",
     ):
         if side is Side.DOWNSIDE:
@@ -170,7 +165,6 @@ class DualCurve:
         self.theta_bar = float(theta_bar)
         self._evaluate = evaluate
         self._deriv = deriv
-        self.attainment_assumed = attainment_assumed
         self.name = name
 
         if deriv_at_zero is None:
@@ -267,11 +261,13 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
     """Solve Lambda'(theta) = target by bisection on the monotone derivative.
 
     The target must lie strictly between the derivative limits at the
-    domain endpoints; otherwise TargetOutOfRange is raised.  BracketFailure
-    signals that the expanding search interval never bracketed the target
-    (a non-steep curve, or inconsistent curve data).
+    domain endpoints; otherwise, and for a NaN target, TargetOutOfRange is
+    raised.  BracketFailure signals that the expanding search interval never
+    bracketed the target (a non-steep curve, or inconsistent curve data).
     """
     ell = float(target)
+    if math.isnan(ell):
+        raise TargetOutOfRange("target is NaN")
     if curve.side is Side.UPSIDE:
         if ell <= curve.deriv_at_zero:
             raise TargetOutOfRange(
@@ -444,7 +440,11 @@ class CurveDiagnostics:
 
 
 def check_curve(curve: DualCurve, thetas: Iterable[float], tol: float = 1e-9) -> CurveDiagnostics:
-    """Check Lambda(0)=0, convexity, and derivative monotonicity on a grid."""
+    """Check Lambda(0)=0, convexity, and derivative monotonicity on a grid.
+
+    A non-finite value or derivative anywhere on the grid reports NaN
+    violations, so the diagnostics are not ``ok``.
+    """
     grid = sorted(curve.clamp(float(t)) for t in thetas)
     vals = [curve.value(t) for t in grid]
     ders = [curve.deriv(t) for t in grid]
@@ -460,4 +460,6 @@ def check_curve(curve: DualCurve, thetas: Iterable[float], tol: float = 1e-9) ->
     mono = 0.0
     for d1, d2 in zip(ders, ders[1:]):
         mono = max(mono, d1 - d2)
+    if not all(math.isfinite(x) for x in vals + ders):
+        conv = mono = math.nan  # max() would drop a NaN; a non-finite sample fails both
     return CurveDiagnostics(curve.value(0.0), conv, mono, tol)

@@ -7,9 +7,12 @@ Simulates the joint log-wealth / factor dynamics
 
 under an affine feedback policy pi(y) = G y + g0, with a shared Brownian
 motion of dimension d+m, by Euler-Maruyama directly on L (wealth is never
-exponentiated, so paths cannot overflow through positivity).  The
-Black-Scholes case is the empty-factor specialization and its log-wealth
-scheme is exact in distribution at any step size.
+exponentiated, so paths cannot overflow through positivity).  A model
+enters only through ``model.market()``, its canonical record
+``(K, B1, B0, sigma, gamma)``, and ``model.quadratic_pair(theta)``, the
+``(C, D)`` pair that shapes the tilted shift.  The Black-Scholes case is
+the empty-factor record (m = 0) and its log-wealth scheme is exact in
+distribution at any step size.
 
 Estimators
 ----------
@@ -37,30 +40,17 @@ matter how path batches are scheduled.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import riccati as _riccati
 from .duality import Side
 from .errors import NumericalBlowup, WeightDegeneracy
-from .models import (
-    BlackScholesModel,
-    FeedbackPolicy,
-    LinearFactor1D,
-    PlatenRebolledo,
-    lg1d_D,
-    lg1d_riccati_roots,
-)
-from .riccati import LinearFactorMD
+from .models import FactorMarket, FeedbackPolicy
 
 __all__ = [
-    "Scheme",
-    "Direct",
-    "TiltedSelfNormalized",
     "SimConfig",
     "PathSample",
     "SimResult",
@@ -77,27 +67,6 @@ __all__ = [
 _ESS_FLOOR = 0.01
 _BLOWUP_CHECK_INTERVAL = 64
 
-SimulatableModel = Union[BlackScholesModel, LinearFactor1D, PlatenRebolledo, LinearFactorMD]
-
-
-class Scheme(enum.Enum):
-    EULER_LOG_WEALTH = "euler-log-wealth"
-
-
-@dataclass(frozen=True)
-class Direct:
-    """Plain empirical-frequency estimator."""
-
-
-@dataclass(frozen=True)
-class TiltedSelfNormalized:
-    """Exponentially tilted self-normalized importance-sampling estimator."""
-
-    theta_tilt: float
-
-
-EstimatorSpec = Union[Direct, TiltedSelfNormalized]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -107,8 +76,6 @@ class SimConfig:
     dt: float
     n_paths: int
     seed: int
-    scheme: Scheme = Scheme.EULER_LOG_WEALTH
-    estimator: EstimatorSpec = Direct()
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -154,66 +121,6 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# model -> simulation arrays
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class _SimArrays:
-    K: np.ndarray       # (m, m)
-    B1: np.ndarray      # (d, m)
-    B0: np.ndarray      # (d,)
-    sigma: np.ndarray   # (d, q)
-    gamma: np.ndarray   # (m, q)
-
-    @property
-    def dims(self):
-        d, q = self.sigma.shape
-        return d, self.K.shape[0], q
-
-
-def _sim_arrays(model: SimulatableModel) -> _SimArrays:
-    if isinstance(model, BlackScholesModel):
-        return _SimArrays(
-            K=np.zeros((0, 0)),
-            B1=np.zeros((1, 0)),
-            B0=np.array([model.b]),
-            sigma=np.array([[model.sigma]]),
-            gamma=np.zeros((0, 1)),
-        )
-    if isinstance(model, PlatenRebolledo):
-        model = model.as_linear_factor()
-    if isinstance(model, LinearFactor1D):
-        s, g, rho = model.sigma_norm, model.gamma_norm, model.rho
-        return _SimArrays(
-            K=np.array([[model.K]]),
-            B1=np.array([[model.B1]]),
-            B0=np.array([model.B0]),
-            sigma=np.array([[s, 0.0]]),
-            gamma=np.array([[rho * g, math.sqrt(max(0.0, 1.0 - rho**2)) * g]]),
-        )
-    if isinstance(model, LinearFactorMD):
-        return _SimArrays(K=model.K, B1=model.B1, B0=model.B0, sigma=model.sigma, gamma=model.gamma)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _quadratic_pair(model: SimulatableModel, theta: float):
-    """(C, D) of the model's quadratic value at theta (empty for Black-Scholes)."""
-    if isinstance(model, BlackScholesModel):
-        return np.zeros((0, 0)), np.zeros(0)
-    if isinstance(model, PlatenRebolledo):
-        model = model.as_linear_factor()
-    if isinstance(model, LinearFactor1D):
-        if theta == 0.0:
-            return np.zeros((1, 1)), np.zeros(1)
-        c = lg1d_riccati_roots(model, theta)[0]
-        d = lg1d_D(model, theta)
-        return np.array([[c]]), np.array([d])
-    qv = _riccati.solve_care(model, theta)
-    return qv.C, qv.D
-
-
-# ---------------------------------------------------------------------------
 # core stepper
 # ---------------------------------------------------------------------------
 
@@ -228,7 +135,7 @@ def _step_normals(seed: int, substream: int, step: int, out: np.ndarray) -> None
 
 
 def _run_paths(
-    arrays: _SimArrays,
+    arrays: FactorMarket,
     gain: np.ndarray,
     intercept: np.ndarray,
     cfg: SimConfig,
@@ -281,7 +188,7 @@ def _run_paths(
 
 
 def simulate_paths(
-    model: SimulatableModel,
+    model,
     policy: FeedbackPolicy,
     cfg: SimConfig,
     substream: int = 0,
@@ -294,7 +201,7 @@ def simulate_paths(
     accumulates the running integral of the tilted growth integrand
     f(theta, y, pi) = pi'b(y) - (1-theta)/2 pi'ss'pi along each path.
     """
-    arrays = _sim_arrays(model)
+    arrays = model.market()
     d, m, _ = arrays.dims
     gain, intercept = policy.as_arrays(d, m)
     L, Y, _, f_int = _run_paths(
@@ -375,7 +282,7 @@ def estimate_log_laplace(sample: PathSample, theta: float) -> SimResult:
 
 
 def tilted_estimate_prob(
-    model: SimulatableModel,
+    model,
     policy: FeedbackPolicy,
     theta_tilt: float,
     target: float,
@@ -403,10 +310,10 @@ def tilted_estimate_prob(
         raise ValueError("upside tilting requires theta_tilt >= 0")
     if side is Side.DOWNSIDE and theta_tilt > 0:
         raise ValueError("downside tilting requires theta_tilt <= 0")
-    arrays = _sim_arrays(model)
+    arrays = model.market()
     d, m, _ = arrays.dims
     gain, intercept = policy.as_arrays(d, m)
-    CD = _quadratic_pair(model, theta_tilt)
+    CD = model.quadratic_pair(theta_tilt)
     L, Y, logw, _ = _run_paths(
         arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream
     )
@@ -454,7 +361,7 @@ class RateFitResult:
 
 
 def rate_fit(
-    model: SimulatableModel,
+    model,
     policy: FeedbackPolicy,
     target: float,
     side: Side,
@@ -465,15 +372,13 @@ def rate_fit(
     """Estimate the exponential decay rate of the tail probability in T.
 
     Runs one estimate per horizon (independent substreams) and fits
-    log P(T) ~ intercept + slope * T by least squares.  When a tilt is
-    available (argument, or a tilted estimator in the config) the tilted
-    estimator is used throughout -- small probabilities at the longer
-    horizons would otherwise return zero hits.
+    log P(T) ~ intercept + slope * T by least squares.  When
+    ``theta_tilt`` is given the tilted estimator is used throughout --
+    small probabilities at the longer horizons would otherwise return
+    zero hits.
     """
     if len(horizons) < 3:
         raise ValueError("need at least 3 horizons for a decay-rate fit")
-    if theta_tilt is None and isinstance(cfg.estimator, TiltedSelfNormalized):
-        theta_tilt = cfg.estimator.theta_tilt
     rows = []
     for k, T in enumerate(horizons):
         cfg_T = replace(cfg, horizon=float(T))

@@ -1,41 +1,45 @@
-"""Closed-form model backends producing dual curves and feedback policies.
+"""Market models: one canonical record and the closed-form fast paths.
 
-Three one-dimensional market models are supported:
+Every market is a linear factor model ``(K, B1, B0, sigma, gamma)``: asset
+drift ``B1 Y + B0`` and noise ``sigma dW``, factor ``dY = K Y dt + gamma dW``.
+:class:`FactorMarket` is that record.  Each model maps onto it with
+``market()`` and gives the ``(C, D)`` pair of its quadratic value at a tilt
+with ``quadratic_pair(theta)``; the Monte-Carlo engine needs nothing else.
 
 * :class:`BlackScholesModel` -- one stock with constant drift ``b`` and
-  volatility ``sigma``.  Every dual quantity has an explicit formula; the
-  dual curve is ``(b^2/2 sigma^2) * theta/(1-theta)``.
-* :class:`LinearFactor1D` -- one stock whose drift is an affine function
-  ``B1*Y + B0`` of a scalar Ornstein-Uhlenbeck factor ``Y`` with reversion
-  ``K < 0``, driven by a two-dimensional Brownian motion.  The model is
-  parameterized by the noise norms ``|sigma|``, ``|gamma|`` and the
+  volatility ``sigma``: the record with no factor (m = 0).  The dual curve
+  is ``(b^2/2 sigma^2) * theta/(1-theta)``.
+* :class:`LinearFactor1D` -- one stock and one OU factor with reversion
+  ``K < 0``, given by the noise norms ``|sigma|``, ``|gamma|`` and the
   stock/factor correlation ``rho``.  The dual curve comes from a scalar
   algebraic Riccati equation whose two roots are explicit; only the minus
   root stabilizes the closed-loop factor drift and is ever used.
-* :class:`PlatenRebolledo` -- log-price follows the OU factor itself; the
-  special case ``B1 = K``, ``B0 = |gamma|^2/2``, ``gamma = sigma``,
-  ``rho = 1``.  Rate functions and policies reduce to rational formulas.
+* :class:`PlatenRebolledo` -- log-price follows the OU factor itself: the
+  scalar factor model with ``B1 = K``, ``B0 = |gamma|^2/2``,
+  ``gamma = sigma``, ``rho = 1``, whose rational formulas are fast paths.
+* ``riccati.LinearFactorMD`` -- the validated matrix record, solved by
+  ``riccati.solve_care``.
 
 All functions are pure; models are immutable dataclasses safe to share
-across threads.  Model parameters ingest from JSON records with field
-names exactly ``"b","sigma"`` (Black-Scholes), ``"K","sigma_norm"``
-(Platen-Rebolledo) or ``"K","B1","B0","sigma_norm","gamma_norm","rho"``
-(linear factor), see :func:`model_from_dict`.
+across threads.  :func:`model_from_dict` is the one loader for all of them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .duality import DualCurve, RateValue, Regime, Side
+from .duality import DualCurve, RateValue, Regime, Side, conjugate_downside, conjugate_upside
 from .errors import DomainError, ErgodicityViolated, TargetOutOfRange
 
 __all__ = [
+    "FactorMarket",
     "BlackScholesModel",
     "LinearFactor1D",
     "PlatenRebolledo",
@@ -69,6 +73,43 @@ def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+@dataclass(frozen=True, eq=False)
+class FactorMarket:
+    """Canonical market record, stored as float arrays.
+
+    K is m x m, B1 d x m, B0 of length d, sigma d x q and gamma m x q, for
+    d assets, m factors and q Brownian drivers.
+    """
+
+    K: np.ndarray
+    B1: np.ndarray
+    B0: np.ndarray
+    sigma: np.ndarray
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        for name in ("K", "B1", "sigma", "gamma"):
+            value = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "B0", np.atleast_1d(np.asarray(self.B0, dtype=float)))
+
+    @property
+    def m(self) -> int:
+        return self.K.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.B0.shape[0]
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """(d, m, q)."""
+        return self.d, self.m, self.sigma.shape[1]
+
+    def market(self) -> "FactorMarket":
+        return self
+
+
 @dataclass(frozen=True)
 class BlackScholesModel:
     """One stock, constant drift per unit time and volatility per sqrt(time)."""
@@ -79,6 +120,16 @@ class BlackScholesModel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+
+    def market(self) -> FactorMarket:
+        """The record with no factors (m = 0)."""
+        return FactorMarket(
+            np.zeros((0, 0)), np.zeros((1, 0)), [self.b], [[self.sigma]], np.zeros((0, 1))
+        )
+
+    def quadratic_pair(self, theta: float):
+        """(C, D) of the quadratic value: empty, there is no factor."""
+        return np.zeros((0, 0)), np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -104,32 +155,37 @@ class LinearFactor1D:
         if self.B0 == 0:
             raise ValueError("B0 must be nonzero")
 
+    def market(self) -> FactorMarket:
+        """The record with sigma = |sigma| (1, 0), gamma = |gamma| (rho, sqrt(1-rho^2))."""
+        g, rho = self.gamma_norm, self.rho
+        gamma = [[rho * g, math.sqrt(max(0.0, 1.0 - rho**2)) * g]]
+        return FactorMarket([[self.K]], [[self.B1]], [self.B0], [[self.sigma_norm, 0.0]], gamma)
 
-@dataclass(frozen=True)
-class PlatenRebolledo:
-    """Log-price follows an OU process with reversion K < 0 and noise norm |sigma|."""
+    def quadratic_pair(self, theta: float):
+        """(C, D) of the quadratic value at theta from the closed-form roots."""
+        if theta == 0.0:
+            return np.zeros((1, 1)), np.zeros(1)
+        return np.array([[lg1d_riccati_roots(self, theta)[0]]]), np.array([lg1d_D(self, theta)])
 
-    K: float
-    sigma_norm: float
 
-    def __post_init__(self):
-        if not self.K < 0:
-            raise ValueError("K must be negative")
-        if not self.sigma_norm > 0:
-            raise ValueError("sigma_norm must be positive")
+class PlatenRebolledo(LinearFactor1D):
+    """Log-price follows an OU process with reversion K < 0 and noise norm |sigma|.
 
-    def as_linear_factor(self) -> LinearFactor1D:
-        return LinearFactor1D(
-            K=self.K,
-            B1=self.K,
-            B0=0.5 * self.sigma_norm**2,
-            sigma_norm=self.sigma_norm,
-            gamma_norm=self.sigma_norm,
-            rho=1.0,
+    The scalar factor model with B1 = K, B0 = |sigma|^2/2, |gamma| = |sigma|
+    and rho = 1; the ``pr_*`` rational formulas are its fast paths.
+    """
+
+    def __init__(self, K: float, sigma_norm: float):
+        super().__init__(
+            K=K, B1=K, B0=0.5 * sigma_norm**2, sigma_norm=sigma_norm, gamma_norm=sigma_norm, rho=1.0
         )
 
+    def as_linear_factor(self) -> LinearFactor1D:
+        """The same market as a plain LinearFactor1D, without the fast paths."""
+        return LinearFactor1D(*astuple(self))
 
-ModelSpec = Union[BlackScholesModel, LinearFactor1D, PlatenRebolledo]
+
+ModelSpec = Union[BlackScholesModel, LinearFactor1D]
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,8 +568,6 @@ def dual_curve(model: ModelSpec, side: Side) -> DualCurve:
     """The model's dual curve on the requested side."""
     if isinstance(model, BlackScholesModel):
         return bs_dual(model, side)
-    if isinstance(model, PlatenRebolledo):
-        return lg1d_gamma_curve(model.as_linear_factor(), side)
     if isinstance(model, LinearFactor1D):
         return lg1d_gamma_curve(model, side)
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -521,14 +575,10 @@ def dual_curve(model: ModelSpec, side: Side) -> DualCurve:
 
 def rate_for_target(model: ModelSpec, target: float, side: Side) -> RateValue:
     """Decay rate by the fastest available route (closed form, else engine)."""
-    from . import duality
-
     if isinstance(model, PlatenRebolledo):
         return pr_rates(model, target, side)
-    curve = dual_curve(model, side)
-    if side is Side.UPSIDE:
-        return duality.conjugate_upside(curve, target)
-    return duality.conjugate_downside(curve, target)
+    conjugate = conjugate_upside if side is Side.UPSIDE else conjugate_downside
+    return conjugate(dual_curve(model, side), target)
 
 
 def policy_at_tilt(model: ModelSpec, theta: float) -> FeedbackPolicy:
@@ -537,8 +587,7 @@ def policy_at_tilt(model: ModelSpec, theta: float) -> FeedbackPolicy:
         if theta >= 1.0:
             raise DomainError(f"theta={theta} must be below 1")
         return FeedbackPolicy(gain=0.0, intercept=model.b / (model.sigma**2 * (1.0 - theta)))
-    lf = model.as_linear_factor() if isinstance(model, PlatenRebolledo) else model
-    return lg1d_policy(lf, theta)
+    return lg1d_policy(model, theta)
 
 
 def policy_for_target(
@@ -556,46 +605,61 @@ def policy_for_target(
     """
     if isinstance(model, BlackScholesModel):
         return bs_policy(model, target, side)
-    lf = model.as_linear_factor() if isinstance(model, PlatenRebolledo) else model
     if rate is None:
         rate = rate_for_target(model, target, side)
     if rate.regime is Regime.UNREACHABLE:
         return FeedbackPolicy(gain=0.0, intercept=0.0)
     theta = rate.tilt if rate.regime is Regime.INTERIOR else 0.0
-    return lg1d_policy(lf, theta)
+    return lg1d_policy(model, theta)
 
 
-_BS_FIELDS = {"b", "sigma"}
-_PR_FIELDS = {"K", "sigma_norm"}
-_LG_FIELDS = {"K", "B1", "B0", "sigma_norm", "gamma_norm", "rho"}
+_SCALAR_FORMS = (
+    (BlackScholesModel, {"b", "sigma"}),
+    (PlatenRebolledo, {"K", "sigma_norm"}),
+    (LinearFactor1D, {"K", "B1", "B0", "sigma_norm", "gamma_norm", "rho"}),
+)
+_MATRIX_FIELDS = {"K", "B1", "B0", "sigma", "gamma"}
 
 
-def model_from_dict(record: dict) -> ModelSpec:
+def _finite_real(name: str, value) -> float:
+    # abs(value) <= max is False for NaN, infinities and ints too large for a float
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ValueError(f"model field {name!r} must be a finite real number, got {value!r}")
+
+
+def _finite_array(name: str, value):
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_finite_array(name, v) for v in value]
+    return _finite_real(name, value)
+
+
+def model_from_dict(record: dict):
     """Build a model from a JSON configuration record.
 
     The field set determines the model type: {"b","sigma"} is
-    Black-Scholes, {"K","sigma_norm"} is Platen-Rebolledo, and the full
-    six-field set is the linear factor model.
+    Black-Scholes, {"K","sigma_norm"} is Platen-Rebolledo, the six fields
+    {"K","B1","B0","sigma_norm","gamma_norm","rho"} are the scalar factor
+    model, and {"K","B1","B0","sigma","gamma"} holding row-major nested
+    arrays is the matrix model ``riccati.LinearFactorMD``.  Every value
+    must be a finite real number (nested lists of them for the matrix
+    model); anything else raises ValueError.
     """
+    if not isinstance(record, dict):
+        raise ValueError("model record must be a JSON object")
     keys = set(record)
-    if keys == _BS_FIELDS:
-        return BlackScholesModel(b=float(record["b"]), sigma=float(record["sigma"]))
-    if keys == _PR_FIELDS:
-        return PlatenRebolledo(
-            K=float(record["K"]), sigma_norm=float(record["sigma_norm"])
-        )
-    if keys == _LG_FIELDS:
-        return LinearFactor1D(
-            K=float(record["K"]),
-            B1=float(record["B1"]),
-            B0=float(record["B0"]),
-            sigma_norm=float(record["sigma_norm"]),
-            gamma_norm=float(record["gamma_norm"]),
-            rho=float(record["rho"]),
-        )
+    if keys == _MATRIX_FIELDS:
+        from .riccati import LinearFactorMD
+
+        return LinearFactorMD(**{k: _finite_array(k, v) for k, v in record.items()})
+    for cls, fields in _SCALAR_FORMS:
+        if keys == fields:
+            return cls(**{k: _finite_real(k, v) for k, v in record.items()})
     raise ValueError(
         "unrecognized model record: expected fields "
         '{"b","sigma"} | {"K","sigma_norm"} | '
-        '{"K","B1","B0","sigma_norm","gamma_norm","rho"}, got '
+        '{"K","B1","B0","sigma_norm","gamma_norm","rho"} | '
+        '{"K","B1","B0","sigma","gamma"}, got '
         f"{sorted(keys)}"
     )

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoStabilizingSolution, SingularClosedLoop
-from .models import FeedbackPolicy
+from .models import FactorMarket, FeedbackPolicy, model_from_dict
 
 __all__ = [
     "LinearFactorMD",
@@ -62,29 +62,17 @@ _RESIDUAL_CERT = 1e-9
 _HURWITZ_MARGIN = -1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class LinearFactorMD:
-    """Multi-dimensional linear Gaussian factor market.
+class LinearFactorMD(FactorMarket):
+    """Multi-dimensional linear Gaussian factor market: the validated record.
 
     K is the m x m factor reversion (Hurwitz), B1 the d x m loading, B0
     the nonzero baseline drift, sigma the d x (d+m) asset noise of full
     row rank, gamma the nonzero m x (d+m) factor noise.
     """
 
-    K: np.ndarray
-    B1: np.ndarray
-    B0: np.ndarray
-    sigma: np.ndarray
-    gamma: np.ndarray
-
     def __post_init__(self):
-        object.__setattr__(self, "K", np.atleast_2d(np.asarray(self.K, dtype=float)))
-        object.__setattr__(self, "B1", np.atleast_2d(np.asarray(self.B1, dtype=float)))
-        object.__setattr__(self, "B0", np.atleast_1d(np.asarray(self.B0, dtype=float)))
-        object.__setattr__(self, "sigma", np.atleast_2d(np.asarray(self.sigma, dtype=float)))
-        object.__setattr__(self, "gamma", np.atleast_2d(np.asarray(self.gamma, dtype=float)))
-        m = self.K.shape[0]
-        d = self.B0.shape[0]
+        super().__post_init__()
+        m, d = self.m, self.d
         q = d + m
         if self.K.shape != (m, m):
             raise ValueError("K must be square")
@@ -101,13 +89,10 @@ class LinearFactorMD:
         if not np.any(self.gamma):
             raise ValueError("gamma must be nonzero")
 
-    @property
-    def m(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.B0.shape[0]
+    def quadratic_pair(self, theta: float):
+        """(C, D) of the quadratic value at theta from :func:`solve_care`."""
+        qv = solve_care(self, theta)
+        return qv.C, qv.D
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,23 +334,6 @@ def theta_sweep(model: LinearFactorMD, thetas: Sequence[float]) -> SweepResult:
                 breakdown = theta
     points = [results[t] for t in grid]
     return SweepResult(points=points, breakdown_theta=breakdown)
-
-
-def model_from_dict(record: dict) -> LinearFactorMD:
-    """Build the multi-dimensional model from nested row-major JSON arrays."""
-    expected = {"K", "B1", "B0", "sigma", "gamma"}
-    if set(record) != expected:
-        raise ValueError(
-            f"matrix model record must have fields {sorted(expected)}, got "
-            f"{sorted(record)}"
-        )
-    return LinearFactorMD(
-        K=np.asarray(record["K"], dtype=float),
-        B1=np.asarray(record["B1"], dtype=float),
-        B0=np.asarray(record["B0"], dtype=float),
-        sigma=np.asarray(record["sigma"], dtype=float),
-        gamma=np.asarray(record["gamma"], dtype=float),
-    )
 
 
 def solution_record(model: LinearFactorMD, qv: QuadraticValue) -> dict:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from growthtail import mc
 from growthtail.cli import main
 
 
@@ -71,6 +72,13 @@ class TestDual:
         assert code == 0
         assert float(rows[0]["lambda"]) == pytest.approx(-0.15403910236246117, abs=1e-9)
 
+    def test_nan_grid_not_convex_ok(self, model_file, capsys):
+        code, _, out = run_csv(
+            capsys, ["dual", "--model", model_file(BS), "--side", "up", "--grid", "0:nan:3"]
+        )
+        assert code == 0
+        assert "# convex_ok=false" in out
+
 
 class TestFrontier:
     def test_bs_upside_row(self, model_file, capsys):
@@ -124,6 +132,14 @@ class TestFrontier:
         assert code == 0
         assert rows[0]["v"] == "-inf"
         assert rows[2]["v"] == "" and "TargetOutOfRange" in rows[2]["error"]
+
+    @pytest.mark.parametrize("record", [BS, LG], ids=["bs", "factor"])
+    def test_nan_target_is_error_row(self, model_file, capsys, record):
+        code, rows, _ = run_csv(
+            capsys, ["frontier", "--model", model_file(record), "--side", "up", "--ell", "nan"]
+        )
+        assert code == 0
+        assert rows[0]["regime"] == "" and "TargetOutOfRange" in rows[0]["error"]
 
 
 class TestRiccati:
@@ -250,6 +266,31 @@ class TestVerify:
         assert gap["slope"] < -0.02
 
 
+    def test_upside_tilted_verify_simulates_direct_sample_once(
+        self, model_file, capsys, monkeypatch
+    ):
+        calls = []
+        original = mc.simulate_paths
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_paths", counting)
+        code, payload = run_json(
+            capsys,
+            [
+                "verify", "--model", model_file(BS), "--side", "up", "--ell", "0.245",
+                "--tilt", "auto", "--paths", "2000", "--horizon", "8", "--dt", "0.1",
+                "--seed", "11",
+            ],
+        )
+        assert code in (0, 1)
+        names = {c["name"] for c in payload["rows"]}
+        assert {"empirical_chebyshev", "tilted_vs_direct_agreement"} <= names
+        assert len(calls) == 1 and calls[0].horizon == 8.0
+
+
 class TestExitCodes:
     def test_verification_failure_is_exit_one(self, model_file, capsys):
         # a constant-fraction override cannot reproduce the optimal dual
@@ -269,8 +310,43 @@ class TestExitCodes:
     def test_malformed_grid(self, model_file, capsys):
         assert main(["dual", "--model", model_file(BS), "--grid", "oops"]) == 2
 
-    def test_bad_model_record(self, model_file, capsys):
-        assert main(["dual", "--model", model_file({"b": 0.1}), "--grid", "0:0.5:3"]) == 2
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"b": 0.1}, "unrecognized model record"),
+            ({"b": None, "sigma": 0.2}, "finite real number"),
+            ({"b": math.nan, "sigma": 0.2}, "finite real number"),
+            ({"b": True, "sigma": 0.2}, "finite real number"),
+            ({"b": "0.1", "sigma": 0.2}, "finite real number"),
+            ({"b": 0.1, "sigma": math.inf}, "finite real number"),
+            ({"b": 10**400, "sigma": 0.2}, "finite real number"),
+            ({**LG, "rho": [0.0]}, "finite real number"),
+            ({**MD1, "B0": [math.nan]}, "finite real number"),
+            ({**MD1, "K": [[True]]}, "finite real number"),
+        ],
+        ids=[
+            "missing-field", "null", "nan", "bool", "string", "inf", "huge-int", "list",
+            "matrix-nan", "matrix-bool",
+        ],
+    )
+    def test_bad_model_record(self, model_file, capsys, record, message):
+        command, grid = ("riccati", "0:0.4:3") if "gamma" in record else ("dual", "0:0.5:3")
+        assert main([command, "--model", model_file(record), "--grid", grid]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "--grid", "0:0.4:3"],
+            ["frontier", "--ell", "0.2"],
+            ["simulate", "--ell", "0.2", "--paths", "100", "--horizon", "1", "--dt", "0.1"],
+            ["verify", "--ell", "0.2", "--paths", "100", "--horizon", "1", "--dt", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_matrix_model_rejected(self, model_file, capsys, argv):
+        assert main(argv[:1] + ["--model", model_file(MD2)] + argv[1:]) == 2
+        assert "use the 'riccati' command" in capsys.readouterr().err
 
     def test_numerical_failure(self, model_file, capsys):
         # hopeless exponential-moment request collapses the weights

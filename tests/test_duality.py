@@ -156,6 +156,19 @@ class TestConjugateDownside:
         assert conjugate_downside(bb, -0.02).regime is Regime.UNREACHABLE
 
 
+class TestNaNTarget:
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_nan_target_out_of_range(self, bs, lg_rho0, side):
+        conjugate = conjugate_upside if side is Side.UPSIDE else conjugate_downside
+        for curve in (bs_dual(bs, side), lg1d_gamma_curve(lg_rho0, side)):
+            with pytest.raises(TargetOutOfRange):
+                conjugate(curve, math.nan)
+
+    def test_nan_target_is_an_error_row(self, bs):
+        rows = frontier(bs_dual(bs, Side.UPSIDE), [math.nan])
+        assert rows[0].rate is None and "TargetOutOfRange" in rows[0].error
+
+
 class TestNearOptimalTilt:
     def test_bs_explicit_value(self, bs):
         curve = bs_dual(bs, Side.UPSIDE)
@@ -280,6 +293,23 @@ class TestCurveChecks:
         assert check_curve(up, np.linspace(0.0, 0.49, 20)).ok
         down = lg1d_gamma_curve(pr.as_linear_factor(), Side.DOWNSIDE)
         assert check_curve(down, np.linspace(-8.0, 0.0, 20)).ok
+
+    def test_nan_on_grid_fails(self, bs):
+        diag = check_curve(bs_dual(bs, Side.UPSIDE), [0.0, 0.2, math.nan])
+        assert math.isnan(diag.convexity_violation)
+        assert math.isnan(diag.monotonicity_violation)
+        assert not diag.ok
+
+    def test_non_finite_value_fails(self):
+        curve = DualCurve(
+            Side.UPSIDE,
+            lambda t: math.nan if t > 0.5 else t * t,
+            deriv=lambda t: 2.0 * t,
+            theta_bar=1.0,
+            deriv_at_upper_limit=2.0,
+        )
+        assert check_curve(curve, [0.0, 0.25, 0.5]).ok
+        assert not check_curve(curve, [0.0, 0.25, 0.5, 0.75]).ok
 
     def test_evaluation_clamped_at_boundary(self, bs):
         curve = bs_dual(bs, Side.UPSIDE)
