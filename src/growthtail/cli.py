@@ -52,6 +52,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError(f"bad grid spec {spec!r}, expected a:b:n") from None
     if n < 1:
         raise ValueError("grid must have at least one point")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bad grid spec {spec!r}: bounds must be finite")
     return [float(x) for x in np.linspace(a, b, n)]
 
 
@@ -234,19 +236,19 @@ def cmd_riccati(args) -> int:
     return 0
 
 
-def _resolve_tilt(model, side: Side, ell: float, tilt_arg: str) -> Optional[float]:
+def _resolve_tilt(rate, tilt_arg: str) -> Optional[float]:
+    """The tilt for --tilt: the target's conjugate tilt for 'auto', None for direct."""
     if tilt_arg == "auto":
-        rate = models.rate_for_target(model, ell, side)
         return rate.tilt if rate.regime is Regime.INTERIOR else None
     value = float(tilt_arg)
     return value if value != 0.0 else None
 
 
-def _build_policy(model, side: Side, args):
+def _build_policy(model, side: Side, args, rate=None):
     if args.pi is not None:
         return models.FeedbackPolicy(gain=0.0, intercept=args.pi)
     if args.ell is not None:
-        return models.policy_for_target(model, args.ell, side)
+        return models.policy_for_target(model, args.ell, side, rate=rate)
     return models.policy_at_tilt(model, args.theta)
 
 
@@ -256,9 +258,11 @@ def cmd_simulate(args) -> int:
     if args.ell is None and args.theta is None:
         raise ValueError("simulate needs --ell (tail probability) or --theta (log-Laplace)")
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
-    policy = _build_policy(model, side, args)
+    auto = args.ell is not None and args.tilt == "auto"  # one rate for the tilt and the policy
+    rate = models.rate_for_target(model, args.ell, side) if auto else None
+    policy = _build_policy(model, side, args, rate)
     if args.ell is not None:
-        tilt = _resolve_tilt(model, side, args.ell, args.tilt)
+        tilt = _resolve_tilt(rate, args.tilt)
         if tilt is not None:
             res = mc.tilted_estimate_prob(model, policy, tilt, args.ell, side, cfg)
             estimator = "tilted"
@@ -298,8 +302,8 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
     rate = models.rate_for_target(model, ell, side)
     v = rate.as_float()
     horizons = _parse_grid(args.grid) if args.grid else [args.horizon / 4, args.horizon / 2, args.horizon]
-    policy = _build_policy(model, side, args)
-    tilt = _resolve_tilt(model, side, ell, args.tilt)
+    policy = _build_policy(model, side, args, rate)
+    tilt = _resolve_tilt(rate, args.tilt)
     cfg = mc.SimConfig(horizon=max(horizons), dt=args.dt, n_paths=args.paths, seed=args.seed)
 
     if rate.regime is Regime.UNREACHABLE:

@@ -138,7 +138,9 @@ class DualCurve:
     Upside curves live on [0, theta_bar) with theta_bar in (0, +inf];
     downside curves live on (-inf, 0].  Lambda(0) = 0 always.  Evaluation
     beyond the right endpoint is clamped just inside it, so that steep
-    curves (derivative diverging at theta_bar) never overflow.
+    curves (derivative diverging at theta_bar) never overflow.  Arguments
+    for the other side's endpoint (``theta_bar`` and the upper limit of a
+    downside curve, the lower limit of an upside one) are ignored.
 
     The derivative is the model-supplied callable when available and a
     central finite difference (step ``max(1e-6, 1e-6*|theta|)``, shrunk
@@ -154,7 +156,6 @@ class DualCurve:
         deriv_at_zero: Optional[float] = None,
         deriv_at_lower_limit: Optional[float] = None,
         deriv_at_upper_limit: Optional[float] = None,
-        steep: Optional[bool] = None,
         name: str = "",
     ):
         if side is Side.DOWNSIDE:
@@ -181,9 +182,7 @@ class DualCurve:
             if deriv_at_upper_limit is None:
                 deriv_at_upper_limit = self._probe_upper_limit()
             self.deriv_at_upper_limit = float(deriv_at_upper_limit)
-            self.steep = bool(steep) if steep is not None else math.isinf(
-                self.deriv_at_upper_limit
-            )
+            self.steep = math.isinf(self.deriv_at_upper_limit)
             if self.steep:
                 self.deriv_at_upper_limit = math.inf
 
@@ -330,10 +329,11 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
         if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
             break
     mid = 0.5 * (lo + hi)
-    if abs(curve.deriv(mid) - ell) > _TILT_FTOL * max(1.0, abs(ell)):
+    residual = curve.deriv(mid) - ell
+    # written so that a NaN residual fails too
+    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)):
         raise BracketFailure(
-            f"bisection stalled at theta={mid} with derivative residual "
-            f"{curve.deriv(mid) - ell:.3e}"
+            f"bisection stalled at theta={mid} with derivative residual {residual:.3e}"
         )
     return mid
 

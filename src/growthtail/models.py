@@ -13,7 +13,10 @@ with ``quadratic_pair(theta)``; the Monte-Carlo engine needs nothing else.
   ``K < 0``, given by the noise norms ``|sigma|``, ``|gamma|`` and the
   stock/factor correlation ``rho``.  The dual curve comes from a scalar
   algebraic Riccati equation whose two roots are explicit; only the minus
-  root stabilizes the closed-loop factor drift and is ever used.
+  root stabilizes the closed-loop factor drift and is ever used.  One
+  per-tilt solve computes that root, its stability check and the linear
+  coefficient ``D`` once; the curve value, the policy and
+  ``quadratic_pair`` each call it once.
 * :class:`PlatenRebolledo` -- log-price follows the OU factor itself: the
   scalar factor model with ``B1 = K``, ``B0 = |gamma|^2/2``,
   ``gamma = sigma``, ``rho = 1``, whose rational formulas are fast paths.
@@ -118,6 +121,8 @@ class BlackScholesModel:
     sigma: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            _finite_real(name, value)
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
@@ -144,6 +149,8 @@ class LinearFactor1D:
     rho: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            _finite_real(name, value)
         if not self.K < 0:
             raise ValueError("K must be negative (stable factor reversion)")
         if not self.sigma_norm > 0:
@@ -165,7 +172,8 @@ class LinearFactor1D:
         """(C, D) of the quadratic value at theta from the closed-form roots."""
         if theta == 0.0:
             return np.zeros((1, 1)), np.zeros(1)
-        return np.array([[lg1d_riccati_roots(self, theta)[0]]]), np.array([lg1d_D(self, theta)])
+        c, d = _lg1d_solve(self, theta)
+        return np.array([[c]]), np.array([d])
 
 
 class PlatenRebolledo(LinearFactor1D):
@@ -243,24 +251,15 @@ def bs_dual(model: BlackScholesModel, side: Side) -> DualCurve:
     def deriv(theta: float) -> float:
         return q / (1.0 - theta) ** 2
 
-    if side is Side.UPSIDE:
-        return DualCurve(
-            Side.UPSIDE,
-            evaluate,
-            deriv=deriv,
-            theta_bar=1.0,
-            deriv_at_zero=q,
-            deriv_at_upper_limit=math.inf,
-            steep=True,
-            name="black-scholes-upside",
-        )
     return DualCurve(
-        Side.DOWNSIDE,
+        side,
         evaluate,
         deriv=deriv,
+        theta_bar=1.0,
         deriv_at_zero=q,
         deriv_at_lower_limit=0.0,
-        name="black-scholes-downside",
+        deriv_at_upper_limit=math.inf,
+        name=f"black-scholes-{side.name.lower()}",
     )
 
 
@@ -268,20 +267,21 @@ def bs_policy(model: BlackScholesModel, target: float, side: Side) -> FeedbackPo
     """Optimal constant fraction for the given growth-rate target.
 
     Upside: the log-optimal (Merton) fraction b/sigma^2 below the free
-    threshold, sqrt(2*target/sigma^2) above it.  Downside: 0 for negative
-    targets (doing nothing keeps the growth rate at 0 exactly), otherwise
-    sqrt(2*target/sigma^2) up to the threshold.
+    threshold, sqrt(2*target/sigma^2) with the sign of b above it.
+    Downside: 0 for negative targets (doing nothing keeps the growth rate
+    at 0 exactly), otherwise sqrt(2*target/sigma^2) with the sign of b up
+    to the threshold.  Either way it is the policy at the conjugate tilt.
     """
     q = _bs_half_snr(model)
     ell = float(target)
-    if side is Side.UPSIDE:
-        pi = model.b / model.sigma**2 if ell <= q else math.sqrt(2.0 * ell / model.sigma**2)
+    if side is Side.UPSIDE and ell <= q:
+        pi = model.b / model.sigma**2
+    elif side is Side.DOWNSIDE and ell > q:
+        raise TargetOutOfRange(f"downside target {ell} above the derivative at zero {q}")
+    elif side is Side.DOWNSIDE and ell < 0:
+        pi = 0.0
     else:
-        if ell > q:
-            raise TargetOutOfRange(
-                f"downside target {ell} above the derivative at zero {q}"
-            )
-        pi = 0.0 if ell < 0 else math.sqrt(2.0 * ell / model.sigma**2)
+        pi = math.copysign(math.sqrt(2.0 * ell / model.sigma**2), model.b)
     return FeedbackPolicy(gain=0.0, intercept=pi)
 
 
@@ -314,9 +314,12 @@ def bs_prob_exact(
 # ---------------------------------------------------------------------------
 
 
-def _lg1d_abar(model: LinearFactor1D) -> float:
-    # |gamma| B1 / (K |sigma|), the loading-to-reversion ratio.
-    return model.gamma_norm * model.B1 / (model.K * model.sigma_norm)
+def _lg1d_domain(model: LinearFactor1D) -> tuple[float, float, float]:
+    # (abar, beta, theta_bar), abar = |gamma| B1 / (K |sigma|) the loading-to-reversion ratio
+    a = model.gamma_norm * model.B1 / (model.K * model.sigma_norm)
+    beta = 1.0 - model.rho**2 + (model.rho - a) ** 2
+    theta_bar = 1.0 if beta <= 1.0 else 1.0 / beta
+    return a, beta, theta_bar
 
 
 def lg1d_beta_thetabar(model: LinearFactor1D) -> tuple[float, float]:
@@ -326,24 +329,28 @@ def lg1d_beta_thetabar(model: LinearFactor1D) -> tuple[float, float]:
     (perfect-correlation degenerate case) means 1/beta = +inf, so
     theta_bar = 1.
     """
-    a = _lg1d_abar(model)
-    beta = 1.0 - model.rho**2 + (model.rho - a) ** 2
-    theta_bar = 1.0 if beta <= 1.0 else 1.0 / beta
-    return beta, theta_bar
+    return _lg1d_domain(model)[1:]
 
 
-def _lg1d_discriminant(model: LinearFactor1D, theta: float) -> float:
-    beta, theta_bar = lg1d_beta_thetabar(model)
+def _lg1d_quadratic(model: LinearFactor1D, theta: float) -> tuple[float, float, float, float]:
+    """(theta_bar, u, w, sqrt(disc)): the roots are -(K/|gamma|^2)(u -+ sqrt(disc))/w.
+
+    disc = (1-theta)(1-theta*beta) is clamped to zero just below zero and
+    raises DomainError when more negative (theta past theta_bar).
+    """
+    a, beta, theta_bar = _lg1d_domain(model)
     if theta >= 1.0:
         raise DomainError(f"theta={theta} must be below 1")
     disc = (1.0 - theta) * (1.0 - theta * beta)
     if disc < 0.0:
-        if disc > -1e-12 * max(1.0, abs(theta)):
-            return 0.0
-        raise DomainError(
-            f"theta={theta} beyond theta_bar={theta_bar}: negative discriminant"
-        )
-    return disc
+        if not disc > -1e-12 * max(1.0, abs(theta)):
+            raise DomainError(
+                f"theta={theta} beyond theta_bar={theta_bar}: negative discriminant"
+            )
+        disc = 0.0
+    u = 1.0 - theta * (1.0 - model.rho * a)
+    w = 1.0 - theta * (1.0 - model.rho**2)
+    return theta_bar, u, w, math.sqrt(disc)
 
 
 def lg1d_riccati_roots(model: LinearFactor1D, theta: float) -> tuple[float, float]:
@@ -352,61 +359,46 @@ def lg1d_riccati_roots(model: LinearFactor1D, theta: float) -> tuple[float, floa
     C_minus is the stabilizing (ergodic) root and the only one consumed by
     the other operations.
     """
-    disc = _lg1d_discriminant(model, theta)
-    a = _lg1d_abar(model)
+    _, u, w, root = _lg1d_quadratic(model, theta)
+    scale = -(model.K / model.gamma_norm**2)
+    return scale * (u - root) / w, scale * (u + root) / w
+
+
+def _lg1d_solve(model: LinearFactor1D, theta: float) -> tuple[float, float]:
+    """(C, D) at theta, the one per-tilt solve behind Gamma, the policy and quadratic_pair.
+
+    C is the minus root; ErgodicityViolated if it fails the stability check.
+    """
+    theta_bar, u, w, root = _lg1d_quadratic(model, theta)
     g2 = model.gamma_norm**2
-    u = 1.0 - theta * (1.0 - model.rho * a)
-    w = 1.0 - theta * (1.0 - model.rho**2)
-    root = math.sqrt(disc)
-    c_minus = -(model.K / g2) * (u - root) / w
-    c_plus = -(model.K / g2) * (u + root) / w
-    return c_minus, c_plus
-
-
-def _lg1d_closed_loop_drift(model: LinearFactor1D, theta: float, c: float) -> float:
-    # Drift coefficient of the closed-loop factor process, scaled by the
-    # positive factor (1 - theta) and arranged as 1 - theta*(...) products
-    # so deep negative tilts do not lose the sign to cancellation; must be
-    # negative for the factor to remain ergodic under the tilted optimal
-    # policy.
-    a = _lg1d_abar(model)
-    u = 1.0 - theta * (1.0 - model.rho * a)
-    w = 1.0 - theta * (1.0 - model.rho**2)
-    return model.K * u + model.gamma_norm**2 * w * c
-
-
-def _lg1d_stabilizing_root(model: LinearFactor1D, theta: float) -> float:
-    c_minus, _ = lg1d_riccati_roots(model, theta)
-    _, theta_bar = lg1d_beta_thetabar(model)
-    if theta < theta_bar - 1e-12 and theta != 0.0:
-        if not _lg1d_closed_loop_drift(model, theta, c_minus) < 0.0:
-            raise ErgodicityViolated(
-                f"minus root fails the closed-loop stability check at theta={theta}"
-            )
-    return c_minus
+    c = -(model.K / g2) * (u - root) / w
+    # K u + g2 w c is the closed-loop factor drift times (1 - theta) > 0, in
+    # 1 - theta*(...) products so deep negative tilts keep its sign
+    if theta < theta_bar - 1e-12 and theta != 0.0 and not model.K * u + g2 * w * c < 0.0:
+        raise ErgodicityViolated(
+            f"minus root fails the closed-loop stability check at theta={theta}"
+        )
+    if theta >= theta_bar:
+        raise DomainError(f"D(theta) requires theta < theta_bar = {theta_bar}")
+    d = (
+        -(model.B0 / (model.K * model.sigma_norm))
+        * theta
+        * (model.rho * model.gamma_norm * c + model.B1 / model.sigma_norm)
+        / root
+    )
+    return c, d
 
 
 def lg1d_D(model: LinearFactor1D, theta: float) -> float:
     """Linear coefficient D(theta) of the quadratic value; needs theta < theta_bar."""
-    _, theta_bar = lg1d_beta_thetabar(model)
-    if theta >= theta_bar:
-        raise DomainError(f"D(theta) requires theta < theta_bar = {theta_bar}")
-    disc = _lg1d_discriminant(model, theta)
-    c = _lg1d_stabilizing_root(model, theta)
-    return (
-        -(model.B0 / (model.K * model.sigma_norm))
-        * theta
-        * (model.rho * model.gamma_norm * c + model.B1 / model.sigma_norm)
-        / math.sqrt(disc)
-    )
+    return _lg1d_solve(model, theta)[1]
 
 
 def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
     """Dual curve value Gamma(theta) assembled from the scalar Riccati solution."""
     if theta == 0.0:
         return 0.0
-    c = _lg1d_stabilizing_root(model, theta)
-    d = lg1d_D(model, theta)
+    c, d = _lg1d_solve(model, theta)
     t1 = theta / (1.0 - theta)
     g = model.gamma_norm
     s = model.sigma_norm
@@ -421,6 +413,13 @@ def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
     )
 
 
+def _lg1d_slope_at_zero(model: LinearFactor1D) -> float:
+    # Gamma'(0) by central difference of the closed-form value; the formula
+    # spans both signs of theta, so no one-sided loss here.
+    h = 1e-6
+    return (lg1d_gamma(model, h) - lg1d_gamma(model, -h)) / (2.0 * h)
+
+
 def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
     """Dual curve for the factor model, with finite-difference derivative.
 
@@ -433,26 +432,13 @@ def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
     def evaluate(theta: float) -> float:
         return lg1d_gamma(model, theta)
 
-    # Derivative at zero by central difference of the closed-form value;
-    # the formula spans both signs of theta, so no one-sided loss here.
-    h = 1e-6
-    d0 = (lg1d_gamma(model, h) - lg1d_gamma(model, -h)) / (2.0 * h)
-
-    if side is Side.UPSIDE:
-        return DualCurve(
-            Side.UPSIDE,
-            evaluate,
-            theta_bar=theta_bar,
-            deriv_at_zero=d0,
-            deriv_at_upper_limit=math.inf,
-            steep=True,
-            name="linear-factor-upside",
-        )
     return DualCurve(
-        Side.DOWNSIDE,
+        side,
         evaluate,
-        deriv_at_zero=d0,
-        name="linear-factor-downside",
+        theta_bar=theta_bar,
+        deriv_at_zero=_lg1d_slope_at_zero(model),
+        deriv_at_upper_limit=math.inf,
+        name=f"linear-factor-{side.name.lower()}",
     )
 
 
@@ -481,8 +467,7 @@ class GammaPrimeZero:
 
 def lg1d_gamma_prime_zero(model: LinearFactor1D) -> GammaPrimeZero:
     """Gamma'(0) with a consistency diagnostic against the reference formula."""
-    h = 1e-6
-    numeric = (lg1d_gamma(model, h) - lg1d_gamma(model, -h)) / (2.0 * h)
+    numeric = _lg1d_slope_at_zero(model)
     reference = model.B0**2 / (2.0 * model.sigma_norm**2) - (
         model.B1**2 * model.gamma_norm
     ) / (4.0 * model.sigma_norm**2 * model.K)
@@ -502,8 +487,7 @@ def lg1d_policy(model: LinearFactor1D, theta: float) -> FeedbackPolicy:
     _, theta_bar = lg1d_beta_thetabar(model)
     if theta >= theta_bar:
         raise DomainError(f"policy requires theta < theta_bar = {theta_bar}")
-    c = _lg1d_stabilizing_root(model, theta)
-    d = lg1d_D(model, theta)
+    c, d = _lg1d_solve(model, theta)
     s = model.sigma_norm
     g = model.gamma_norm
     scale = 1.0 / ((1.0 - theta) * s)

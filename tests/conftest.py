@@ -47,17 +47,29 @@ def conjugate_oracle(evaluate, theta_lo, theta_hi, ell, n=400001):
     return float(vals.min())
 
 
+def _scalar_riccati_coefficients(model: LinearFactor1D, theta: float):
+    # (M, Kt, N) of the scalar quadratic 0.5*M c^2 + Kt c + N = 0
+    t1 = theta / (1.0 - theta)
+    s, g, rho = model.sigma_norm, model.gamma_norm, model.rho
+    M = g**2 * (1.0 + t1 * rho**2)
+    Kt = model.K + t1 * rho * g * model.B1 / s
+    N = 0.5 * t1 * model.B1**2 / s**2
+    return M, Kt, N
+
+
+def closed_loop_drift(model: LinearFactor1D, theta: float, c: float) -> float:
+    """Closed-loop factor drift Kt + M c at theta; negative means ergodic."""
+    M, Kt, _ = _scalar_riccati_coefficients(model, theta)
+    return Kt + M * c
+
+
 def scalar_riccati_oracle(model: LinearFactor1D, theta: float) -> float:
     """Stabilizing root of the scalar Riccati quadratic, selected by stability.
 
     Builds the quadratic 0.5*M c^2 + Kt c + N = 0 from first principles and
     returns the root making Kt + M c negative.
     """
-    t1 = theta / (1.0 - theta)
-    s, g, rho = model.sigma_norm, model.gamma_norm, model.rho
-    M = g**2 * (1.0 + t1 * rho**2)
-    Kt = model.K + t1 * rho * g * model.B1 / s
-    N = 0.5 * t1 * model.B1**2 / s**2
+    M, Kt, N = _scalar_riccati_coefficients(model, theta)
     roots = np.roots([0.5 * M, Kt, N])
     roots = roots[np.abs(roots.imag) < 1e-9].real
     stable = [c for c in roots if Kt + M * c < 1e-12]

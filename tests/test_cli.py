@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
-from growthtail import mc
+from growthtail import mc, models
 from growthtail.cli import main
 
 
@@ -71,13 +72,6 @@ class TestDual:
         )
         assert code == 0
         assert float(rows[0]["lambda"]) == pytest.approx(-0.15403910236246117, abs=1e-9)
-
-    def test_nan_grid_not_convex_ok(self, model_file, capsys):
-        code, _, out = run_csv(
-            capsys, ["dual", "--model", model_file(BS), "--side", "up", "--grid", "0:nan:3"]
-        )
-        assert code == 0
-        assert "# convex_ok=false" in out
 
 
 class TestFrontier:
@@ -290,6 +284,33 @@ class TestVerify:
         assert {"empirical_chebyshev", "tilted_vs_direct_agreement"} <= names
         assert len(calls) == 1 and calls[0].horizon == 8.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--side", "up", "--ell", "0.6"],
+            ["verify", "--side", "down", "--ell", "0.1"],
+            ["simulate", "--side", "up", "--ell", "0.6"],
+            ["simulate", "--side", "up", "--ell", "0.6", "--tilt", "0.1"],
+        ],
+        ids=["verify-up", "verify-down", "simulate-auto", "simulate-fixed-tilt"],
+    )
+    @pytest.mark.parametrize("record", [BS, LG], ids=["bs", "factor"])
+    def test_rate_computed_at_most_once(self, model_file, capsys, monkeypatch, argv, record):
+        calls = []
+        original = models.rate_for_target
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models, "rate_for_target", counting)
+        code = main(
+            argv[:1] + ["--model", model_file(record)] + argv[1:]
+            + ["--paths", "500", "--horizon", "4", "--dt", "0.1", "--seed", "2"]
+        )
+        assert code in (0, 1)
+        assert len(calls) <= 1
+
 
 class TestExitCodes:
     def test_verification_failure_is_exit_one(self, model_file, capsys):
@@ -307,8 +328,24 @@ class TestExitCodes:
     def test_missing_model_file(self, capsys):
         assert main(["dual", "--model", "/nonexistent.json", "--grid", "0:0.5:3"]) == 2
 
-    def test_malformed_grid(self, model_file, capsys):
-        assert main(["dual", "--model", model_file(BS), "--grid", "oops"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "--grid", "oops"],
+            ["dual", "--side", "up", "--grid", "0:nan:3"],
+            ["frontier", "--grid", "0.1:inf:3"],
+            ["frontier", "--grid", "nan:0.3:3"],
+            ["dual", "--grid=-inf:0.5:3"],
+            ["verify", "--ell", "0.2", "--grid", "1:inf:3", "--paths", "100"],
+        ],
+        ids=["oops", "dual-nan-upper", "inf-upper", "nan-lower", "inf-lower", "verify-horizons"],
+    )
+    def test_malformed_grid(self, model_file, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv[:1] + ["--model", model_file(BS)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert "bad grid spec" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "record, message",

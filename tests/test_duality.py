@@ -169,6 +169,24 @@ class TestNaNTarget:
         assert rows[0].rate is None and "TargetOutOfRange" in rows[0].error
 
 
+class TestNaNCurve:
+    def test_nan_derivative_is_bracket_failure(self):
+        # every comparison with a NaN derivative is False: the bisection
+        # slides to the left end, and the final residual check must catch it
+        curve = DualCurve(
+            Side.UPSIDE,
+            lambda t: math.nan,
+            deriv=lambda t: math.nan,
+            theta_bar=1.0,
+            deriv_at_zero=0.1,
+            deriv_at_upper_limit=math.inf,
+        )
+        with pytest.raises(BracketFailure):
+            solve_tilt(curve, 0.2)
+        with pytest.raises(BracketFailure):
+            conjugate_upside(curve, 0.2)
+
+
 class TestNearOptimalTilt:
     def test_bs_explicit_value(self, bs):
         curve = bs_dual(bs, Side.UPSIDE)

@@ -32,11 +32,12 @@ from growthtail import (
     pr_bounds,
     pr_rates,
     pr_tilt,
+    rate_for_target,
 )
 from growthtail.errors import DomainError, TargetOutOfRange
-from growthtail.models import GammaPrimeMismatch, _lg1d_closed_loop_drift
+from growthtail.models import GammaPrimeMismatch
 
-from conftest import bs_tail_oracle, scalar_riccati_oracle
+from conftest import bs_tail_oracle, closed_loop_drift, scalar_riccati_oracle
 
 
 class TestBlackScholes:
@@ -74,6 +75,17 @@ class TestBlackScholes:
         with pytest.raises(TargetOutOfRange):
             bs_policy(bs, 0.2, Side.DOWNSIDE)
 
+    @pytest.mark.parametrize("b", [0.1, -0.1])
+    @pytest.mark.parametrize("side, ell", [(Side.UPSIDE, 0.245), (Side.DOWNSIDE, 0.045)])
+    def test_policy_for_target_is_policy_at_conjugate_tilt(self, b, side, ell):
+        # the optimal fraction carries the sign of the drift
+        model = BlackScholesModel(b=b, sigma=0.2)
+        rate = rate_for_target(model, ell, side)
+        assert rate.regime is Regime.INTERIOR
+        got = policy_for_target(model, ell, side, rate=rate).intercept
+        assert got == pytest.approx(policy_at_tilt(model, rate.tilt).intercept, abs=1e-12)
+        assert math.copysign(1.0, got) == math.copysign(1.0, b)
+
     def test_policy_at_tilt_merton_limit(self, bs):
         assert policy_at_tilt(bs, 0.0).intercept == pytest.approx(2.5, abs=1e-15)
         assert policy_at_tilt(bs, 0.5).intercept == pytest.approx(5.0, abs=1e-15)
@@ -96,6 +108,12 @@ class TestBlackScholes:
     def test_validation(self):
         with pytest.raises(ValueError):
             BlackScholesModel(b=0.1, sigma=0.0)
+
+    @pytest.mark.parametrize("field", ["b", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BlackScholesModel(**{"b": 0.1, "sigma": 0.2, field: bad})
 
 
 class TestLinearFactorScalars:
@@ -158,9 +176,9 @@ class TestLinearFactorScalars:
             _, theta_bar = lg1d_beta_thetabar(model)
             for theta in np.linspace(-3.0, theta_bar - 1e-4, 25):
                 c_minus, c_plus = lg1d_riccati_roots(model, float(theta))
-                assert _lg1d_closed_loop_drift(model, float(theta), c_minus) < 0.0
+                assert closed_loop_drift(model, float(theta), c_minus) < 0.0
                 if theta != 0.0:
-                    assert _lg1d_closed_loop_drift(model, float(theta), c_plus) > -1e-12
+                    assert closed_loop_drift(model, float(theta), c_plus) > -1e-12
 
     def test_D_values(self, lg_rho0, pr):
         assert lg1d_D(lg_rho0, 0.0) == 0.0
@@ -244,6 +262,13 @@ class TestLinearFactorScalars:
             LinearFactor1D(K=-1.0, B1=1.0, B0=0.0, sigma_norm=1.0, gamma_norm=1.0, rho=0.0)
         with pytest.raises(ValueError):
             LinearFactor1D(K=-1.0, B1=1.0, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=1.5)
+
+    @pytest.mark.parametrize("field", ["K", "B1", "B0", "sigma_norm", "gamma_norm", "rho"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        fields = dict(K=-1.0, B1=1.0, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            LinearFactor1D(**{**fields, field: bad})
 
 
 class TestPlatenRebolledo:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthtail import (
     LinearFactor1D,
     LinearFactorMD,
     gamma_md,
+    lg1d_beta_thetabar,
     lg1d_D,
     lg1d_gamma,
     lg1d_riccati_roots,
@@ -88,6 +91,29 @@ class TestSolveCare:
             assert abs(qv.C[0, 0] - lg1d_riccati_roots(twin, theta)[0]) <= 1e-8
             assert abs(qv.D[0] - lg1d_D(twin, theta)) <= 1e-8
             assert abs(gamma_md(model, theta, qv) - lg1d_gamma(twin, theta)) <= 1e-8
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        K=st.floats(-3.0, -0.1),
+        B1=st.floats(-2.0, 2.0),
+        B0=st.floats(0.1, 2.0),
+        s=st.floats(0.1, 2.0),
+        g=st.floats(0.1, 2.0),
+        rho=st.floats(-1.0, 1.0),
+        data=st.data(),
+    )
+    def test_scalar_closed_form_matches_newton_property(self, K, B1, B0, s, g, rho, data):
+        # random models in the acceptance suite's ranges, tilts up to 0.9 theta_bar
+        twin = scalar_twin(K, B1, B0, s, g, rho)
+        _, theta_bar = lg1d_beta_thetabar(twin)
+        theta = data.draw(st.floats(-5.0, 0.9 * theta_bar), label="theta")
+        market = twin.market()
+        model = LinearFactorMD(market.K, market.B1, market.B0, market.sigma, market.gamma)
+        qv = solve_care(model, theta)
+        C, D = twin.quadratic_pair(theta)
+        assert abs(lg1d_gamma(twin, theta) - gamma_md(model, theta, qv)) <= 1e-8
+        assert np.max(np.abs(C - qv.C)) <= 1e-8
+        assert np.max(np.abs(D - qv.D)) <= 1e-8
 
     def test_returned_solution_certificates(self):
         model = synthetic_m2()
