@@ -409,8 +409,7 @@ def _verify_theta(model, side: Side, args, checks: list) -> None:
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     sample = mc.simulate_paths(model, policy, cfg)
     res = mc.estimate_log_laplace(sample, theta)
-    curve = models.dual_curve(model, side)
-    lam = curve.value(theta)
+    lam = models.dual_value(model, side, theta)
     exact = isinstance(model, models.BlackScholesModel)
     if exact and args.pi is not None:
         lam = models.bs_gamma(model, theta, args.pi)

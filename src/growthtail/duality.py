@@ -39,6 +39,7 @@ __all__ = [
     "MINUS_INFINITY",
     "RateValue",
     "DualCurve",
+    "clamp_tilt",
     "FrontierPoint",
     "CurveDiagnostics",
     "solve_tilt",
@@ -190,12 +191,7 @@ class DualCurve:
 
     def clamp(self, theta: float) -> float:
         """Pull theta just inside the domain when it sits on/past an endpoint."""
-        if self.side is Side.UPSIDE:
-            hi = self.theta_bar
-            if math.isfinite(hi) and theta >= hi:
-                return hi * (1.0 - _BOUNDARY_CLAMP)
-            return max(theta, 0.0)
-        return min(theta, 0.0)
+        return clamp_tilt(self.side, self.theta_bar, theta)
 
     def value(self, theta: float) -> float:
         """Lambda(theta), evaluated at the clamped tilt."""
@@ -254,6 +250,16 @@ class DualCurve:
                 return cur
             prev = cur
         return prev
+
+
+def clamp_tilt(side: Side, theta_bar: float, theta: float) -> float:
+    """Pull theta just inside the side's domain, [0, theta_bar) or (-inf, 0],
+    when it sits on/past an endpoint: :meth:`DualCurve.clamp` without a curve."""
+    if side is Side.UPSIDE:
+        if math.isfinite(theta_bar) and theta >= theta_bar:
+            return theta_bar * (1.0 - _BOUNDARY_CLAMP)
+        return max(theta, 0.0)
+    return min(theta, 0.0)
 
 
 def solve_tilt(curve: DualCurve, target: float) -> float:

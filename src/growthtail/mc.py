@@ -306,6 +306,8 @@ def tilted_estimate_prob(
     direct estimator path-for-path.
     """
     theta_tilt = float(theta_tilt)
+    if not math.isfinite(theta_tilt):
+        raise ValueError(f"theta_tilt must be finite, got {theta_tilt}")
     if side is Side.UPSIDE and theta_tilt < 0:
         raise ValueError("upside tilting requires theta_tilt >= 0")
     if side is Side.DOWNSIDE and theta_tilt > 0:

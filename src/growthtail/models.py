@@ -38,7 +38,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .duality import DualCurve, RateValue, Regime, Side, conjugate_downside, conjugate_upside
+from .duality import (
+    DualCurve,
+    RateValue,
+    Regime,
+    Side,
+    clamp_tilt,
+    conjugate_downside,
+    conjugate_upside,
+)
 from .errors import DomainError, ErgodicityViolated, TargetOutOfRange
 
 __all__ = [
@@ -64,6 +72,7 @@ __all__ = [
     "pr_tilt",
     "pr_rates",
     "dual_curve",
+    "dual_value",
     "rate_for_target",
     "policy_at_tilt",
     "policy_for_target",
@@ -555,6 +564,19 @@ def dual_curve(model: ModelSpec, side: Side) -> DualCurve:
     if isinstance(model, LinearFactor1D):
         return lg1d_gamma_curve(model, side)
     raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def dual_value(model: ModelSpec, side: Side, theta: float) -> float:
+    """``dual_curve(model, side).value(theta)`` without the curve's endpoint probes.
+
+    Building a factor-model curve probes its derivative at zero and, on the
+    downside, its limit at -infinity (dozens of curve evaluations); one
+    value at the same clamped tilt needs none of them.
+    """
+    if isinstance(model, LinearFactor1D):
+        _, theta_bar = lg1d_beta_thetabar(model)
+        return float(lg1d_gamma(model, clamp_tilt(side, theta_bar, theta)))
+    return dual_curve(model, side).value(theta)  # other curves have closed-form limits
 
 
 def rate_for_target(model: ModelSpec, target: float, side: Side) -> RateValue:

@@ -27,7 +27,9 @@ but N flips sign with theta and no definiteness is assumed anywhere.
 
 The linear coefficient D then solves A_cl' D = -t1 (s gamma' C + B1)'(ss')^-1 B0
 directly, and the curve value Gamma(theta) and the affine feedback policy
-follow in closed form from (C, D).
+follow in closed form from (C, D).  The coefficients are built once per tilt
+and shared by every step at that tilt; :func:`solve_care` returns Gamma(theta)
+and the residual and eigenvalue certificates it checked with the solution.
 """
 
 from __future__ import annotations
@@ -97,23 +99,32 @@ class LinearFactorMD(FactorMarket):
 
 @dataclass(frozen=True, eq=False)
 class QuadraticValue:
-    """Quadratic-value pair: phi(y) = (1/2) y'Cy + D'y at a given tilt."""
+    """Quadratic-value pair phi(y) = (1/2) y'Cy + D'y at a given tilt, with the curve
+    value Gamma(theta) and the residual and closed-loop eigenvalue certificates of its solve."""
 
     C: np.ndarray
     D: np.ndarray
     theta: float
+    gamma: float
+    residual: float
+    eig_max_real: float
 
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float)
         return float(0.5 * y @ self.C @ y + self.D @ y)
 
 
+def _sinv(model: LinearFactorMD, theta: float) -> np.ndarray:
+    """(ss')^-1 for use at the tilt: the one check that theta is finite and below 1."""
+    if not -math.inf < theta < 1.0:
+        raise DomainError(f"theta={theta} {'must be below 1' if theta >= 1.0 else 'is not finite'}")
+    return np.linalg.inv(model.sigma @ model.sigma.T)
+
+
 def _coefficients(model: LinearFactorMD, theta: float):
-    if theta >= 1.0:
-        raise DomainError(f"theta={theta} must be below 1")
+    """(M, Kt, N, Sinv, t1) at the tilt, built once and passed to every use there."""
+    Sinv = _sinv(model, theta)
     t1 = theta / (1.0 - theta)
-    S = model.sigma @ model.sigma.T
-    Sinv = np.linalg.inv(S)
     proj = model.sigma.T @ Sinv @ model.sigma
     q = model.sigma.shape[1]
     M = model.gamma @ (np.eye(q) + t1 * proj) @ model.gamma.T
@@ -122,40 +133,40 @@ def _coefficients(model: LinearFactorMD, theta: float):
     return M, Kt, N, Sinv, t1
 
 
-def _residual_matrix(C: np.ndarray, M: np.ndarray, Kt: np.ndarray, N: np.ndarray) -> np.ndarray:
-    return 0.5 * C @ M @ C + 0.5 * (Kt.T @ C + C @ Kt) + N
+def _residual(C: np.ndarray, coef) -> tuple[np.ndarray, float]:
+    """Symmetrized Riccati left-hand side at C and its Frobenius norm."""
+    M, Kt, N, _, _ = coef
+    R = 0.5 * C @ M @ C + 0.5 * (Kt.T @ C + C @ Kt) + N
+    R = 0.5 * (R + R.T)
+    return R, float(np.linalg.norm(R, "fro"))
 
 
 def riccati_residual(model: LinearFactorMD, theta: float, C) -> float:
     """Frobenius norm of the symmetrized Riccati left-hand side at C."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    M, Kt, N, _, _ = _coefficients(model, theta)
-    R = _residual_matrix(C, M, Kt, N)
-    return float(np.linalg.norm(0.5 * (R + R.T), "fro"))
+    return _residual(C, _coefficients(model, theta))[1]
 
 
 def _eig_max_real(A: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def _newton(model: LinearFactorMD, theta: float, C0: np.ndarray) -> np.ndarray:
-    """Newton iteration from C0; raises NoStabilizingSolution on failure.
+def _newton(coef, C0: np.ndarray, theta: float) -> np.ndarray:
+    """Newton iteration from C0 at one tilt; raises NoStabilizingSolution on failure.
 
     Iterates while the residual improves, polishing well below the failure
     threshold because the curve value near the domain boundary amplifies
     residual error through the nearly singular closed-loop drift.
     """
-    M, Kt, N, _, _ = _coefficients(model, theta)
-    m = model.m
+    M, Kt, N, _, _ = coef
+    m = Kt.shape[0]
     eye = np.eye(m)
     scale = max(1.0, float(np.linalg.norm(N, "fro")))
     C = 0.5 * (C0 + C0.T)
     best_C, best_res = C, math.inf
     prev_res = math.inf
     for _ in range(_NEWTON_MAXIT):
-        R = _residual_matrix(C, M, Kt, N)
-        R = 0.5 * (R + R.T)
-        res = float(np.linalg.norm(R, "fro"))
+        R, res = _residual(C, coef)
         if res < best_res:
             best_C, best_res = C, res
         if res <= _NEWTON_POLISH * scale:
@@ -180,31 +191,28 @@ def _newton(model: LinearFactorMD, theta: float, C0: np.ndarray) -> np.ndarray:
             f"Newton did not reach residual {_NEWTON_TOL} in {_NEWTON_MAXIT} "
             f"iterations at theta={theta} (best {best_res:.3e})"
         )
-    if _eig_max_real(Kt + M @ best_C) > _HURWITZ_MARGIN:
+    if not _eig_max_real(Kt + M @ best_C) <= _HURWITZ_MARGIN:
         raise NoStabilizingSolution(f"converged root is not stabilizing at theta={theta}")
     return best_C
 
 
-def _solve_C(model: LinearFactorMD, theta: float, warm: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stabilizing C(theta) by Newton with continuation in theta from 0."""
-    if theta >= 1.0:
-        raise DomainError(f"theta={theta} must be below 1")
+def _solve_C(model: LinearFactorMD, theta: float, coef, warm: Optional[np.ndarray]) -> np.ndarray:
+    """Stabilizing C(theta) by Newton with continuation in theta from 0, given the
+    coefficients at theta.  The step cap of 0.2 grows to a tenth of the tilt reached
+    beyond |theta| = 2, so the number of solves grows only with log |theta|."""
     if warm is not None:
         try:
-            return _newton(model, theta, warm)
+            return _newton(coef, warm, theta)
         except NoStabilizingSolution:
             pass
-    m = model.m
-    C = np.zeros((m, m))
-    if theta == 0.0:
-        return C
+    C = np.zeros((model.m, model.m))
     cur = 0.0
     sign = 1.0 if theta > 0 else -1.0
     step = min(0.1, abs(theta))
     while abs(theta - cur) > 1e-14:
         nxt = cur + sign * min(step, abs(theta - cur))
         try:
-            C_next = _newton(model, nxt, C)
+            C_next = _newton(coef if nxt == theta else _coefficients(model, nxt), C, nxt)
         except NoStabilizingSolution:
             step *= 0.5
             if step < 1e-7 * max(1.0, abs(theta)):
@@ -213,8 +221,18 @@ def _solve_C(model: LinearFactorMD, theta: float, warm: Optional[np.ndarray] = N
                 ) from None
             continue
         C, cur = C_next, nxt
-        step = min(step * 1.6, 0.2)
+        step = min(step * 1.6, max(0.2, 0.1 * abs(cur)))
     return C
+
+
+def _gamma(model: LinearFactorMD, coef, C: np.ndarray, D: np.ndarray) -> float:
+    M, _, _, Sinv, t1 = coef
+    return float(
+        0.5 * np.trace(model.gamma @ model.gamma.T @ C)
+        + 0.5 * D @ M @ D
+        + t1 * model.B0 @ Sinv @ model.sigma @ model.gamma.T @ D
+        + 0.5 * t1 * model.B0 @ Sinv @ model.B0
+    )
 
 
 def solve_care(
@@ -223,19 +241,21 @@ def solve_care(
     """Stabilizing solution (C, D) of the Riccati system at the given tilt.
 
     Certifies the symmetrized residual (<= 1e-9) and the Hurwitz property
-    of the closed-loop drift before returning; a theta at or past the dual
-    domain boundary surfaces as NoStabilizingSolution.
+    of the closed-loop drift, and returns both certificates and Gamma(theta)
+    with the solution.  A theta that is not finite or not below 1 raises
+    DomainError; one at or past the dual domain boundary surfaces as
+    NoStabilizingSolution.
     """
-    warm_C = warm.C if warm is not None else None
-    C = _solve_C(model, theta, warm=warm_C)
-    M, Kt, N, Sinv, t1 = _coefficients(model, theta)
-    res = riccati_residual(model, theta, C)
-    if res > _RESIDUAL_CERT:
+    M, Kt, _, Sinv, t1 = coef = _coefficients(model, theta)
+    C = _solve_C(model, theta, coef, warm.C if warm is not None else None)
+    res = _residual(C, coef)[1]
+    if not res <= _RESIDUAL_CERT:
         raise NoStabilizingSolution(
             f"residual certificate failed at theta={theta}: {res:.3e}"
         )
     A_cl = Kt + M @ C
-    if _eig_max_real(A_cl) > _HURWITZ_MARGIN:
+    eig = _eig_max_real(A_cl)
+    if not eig <= _HURWITZ_MARGIN:
         raise NoStabilizingSolution(
             f"closed-loop drift not Hurwitz at theta={theta}"
         )
@@ -246,24 +266,18 @@ def solve_care(
         raise SingularClosedLoop(
             f"closed-loop drift singular at theta={theta}"
         ) from exc
-    return QuadraticValue(C=0.5 * (C + C.T), D=D, theta=float(theta))
+    C = 0.5 * (C + C.T)
+    return QuadraticValue(C, D, float(theta), _gamma(model, coef, C, D), res, eig)
 
 
 def gamma_md(model: LinearFactorMD, theta: float, qv: QuadraticValue) -> float:
     """Dual curve value Gamma(theta) assembled from a quadratic-value pair."""
-    M, _, _, Sinv, t1 = _coefficients(model, theta)
-    C, D = qv.C, qv.D
-    return float(
-        0.5 * np.trace(model.gamma @ model.gamma.T @ C)
-        + 0.5 * D @ M @ D
-        + t1 * model.B0 @ Sinv @ model.sigma @ model.gamma.T @ D
-        + 0.5 * t1 * model.B0 @ Sinv @ model.B0
-    )
+    return _gamma(model, _coefficients(model, theta), qv.C, qv.D)
 
 
 def policy_md(model: LinearFactorMD, theta: float, qv: QuadraticValue) -> FeedbackPolicy:
     """Affine feedback fractions pi(y) = gain y + intercept at the given tilt."""
-    _, _, _, Sinv, _ = _coefficients(model, theta)
+    Sinv = _sinv(model, theta)
     scale = 1.0 / (1.0 - theta)
     sg = model.sigma @ model.gamma.T
     gain = scale * Sinv @ (model.B1 + sg @ qv.C)
@@ -276,10 +290,10 @@ class SweepPoint:
     """One tilt of a sweep: curve value plus solution certificates."""
 
     theta: float
-    gamma: Optional[float]
-    residual: Optional[float]
-    eig_max_real: Optional[float]
-    quad: Optional[QuadraticValue]
+    gamma: Optional[float] = None
+    residual: Optional[float] = None
+    eig_max_real: Optional[float] = None
+    quad: Optional[QuadraticValue] = None
     error: Optional[str] = None
 
     @property
@@ -294,7 +308,7 @@ class SweepResult:
 
 
 def theta_sweep(model: LinearFactorMD, thetas: Sequence[float]) -> SweepResult:
-    """Sweep the solver over a sorted tilt grid with warm-started continuation.
+    """Sweep the solver over a sorted, finite tilt grid with warm-started continuation.
 
     Points are solved outward from zero (warm start from the neighbor
     closer to zero).  Per-point failures are recorded in the row; the
@@ -302,48 +316,33 @@ def theta_sweep(model: LinearFactorMD, thetas: Sequence[float]) -> SweepResult:
     boundary (no claim that it equals the true dual boundary).
     """
     grid = [float(t) for t in thetas]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("theta grid must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("theta grid must be sorted ascending")
-    neg = sorted([t for t in grid if t < 0], reverse=True)
-    pos = sorted([t for t in grid if t >= 0])
     results: dict[float, SweepPoint] = {}
     breakdown: Optional[float] = None
-
-    def run(theta: float, warm: Optional[QuadraticValue]) -> SweepPoint:
-        try:
-            qv = solve_care(model, theta, warm=warm)
-        except (NoStabilizingSolution, SingularClosedLoop, DomainError) as exc:
-            return SweepPoint(theta, None, None, None, None, f"{type(exc).__name__}: {exc}")
-        M, Kt, _, _, _ = _coefficients(model, theta)
-        return SweepPoint(
-            theta,
-            gamma_md(model, theta, qv),
-            riccati_residual(model, theta, qv.C),
-            _eig_max_real(Kt + M @ qv.C),
-            qv,
-        )
-
-    for branch in (neg, pos):
+    for branch in ([t for t in grid if t < 0][::-1], [t for t in grid if t >= 0]):
         warm: Optional[QuadraticValue] = None
         for theta in branch:
-            point = run(theta, warm)
-            results[theta] = point
-            if point.ok:
-                warm = point.quad
-            elif theta > 0 and breakdown is None:
-                breakdown = theta
-    points = [results[t] for t in grid]
-    return SweepResult(points=points, breakdown_theta=breakdown)
+            try:
+                warm = solve_care(model, theta, warm=warm)
+            except (NoStabilizingSolution, SingularClosedLoop, DomainError) as exc:
+                results[theta] = SweepPoint(theta, error=f"{type(exc).__name__}: {exc}")
+                if theta > 0 and breakdown is None:
+                    breakdown = theta
+                continue
+            results[theta] = SweepPoint(theta, warm.gamma, warm.residual, warm.eig_max_real, warm)
+    return SweepResult(points=[results[t] for t in grid], breakdown_theta=breakdown)
 
 
 def solution_record(model: LinearFactorMD, qv: QuadraticValue) -> dict:
-    """JSON-ready record of a solution with residual and eigenvalue certificates."""
-    M, Kt, _, _, _ = _coefficients(model, qv.theta)
+    """JSON-ready record of a solution with its residual and eigenvalue certificates."""
     return {
         "theta": qv.theta,
         "C": qv.C.tolist(),
         "D": qv.D.tolist(),
-        "gamma": gamma_md(model, qv.theta, qv),
-        "residual": riccati_residual(model, qv.theta, qv.C),
-        "eig_max_real": _eig_max_real(Kt + M @ qv.C),
+        "gamma": qv.gamma,
+        "residual": qv.residual,
+        "eig_max_real": qv.eig_max_real,
     }

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from growthtail import mc, models
+from growthtail import mc, models, riccati
 from growthtail.cli import main
 
 
@@ -167,6 +167,26 @@ class TestRiccati:
     def test_scalar_model_rejected(self, model_file, capsys):
         assert main(["riccati", "--model", model_file(BS), "--grid", "0:0.4:3"]) == 2
 
+    def test_far_negative_tilt_is_quick(self, model_file, capsys, monkeypatch):
+        # the continuation step grows with |theta| beyond 2: about 125 Newton
+        # solves reach -1e5, where a fixed 0.2 cap needed half a million
+        calls = []
+        original = riccati._newton
+
+        def counting(*args):
+            calls.append(args)
+            if len(calls) > 1000:
+                raise RuntimeError("more than 1000 Newton solves")
+            return original(*args)
+
+        monkeypatch.setattr(riccati, "_newton", counting)
+        code, rows, _ = run_csv(
+            capsys, ["riccati", "--model", model_file(MD2), "--grid=-100000:0:2"]
+        )
+        assert code == 0
+        assert rows[0]["ok"] == "true" and float(rows[0]["theta"]) == -1e5
+        assert float(rows[0]["residual"]) <= 1e-9 and float(rows[0]["eig_max_real"]) < 0
+
 
 class TestSimulate:
     def test_direct_probability_columns(self, model_file, capsys):
@@ -311,6 +331,23 @@ class TestVerify:
         assert code in (0, 1)
         assert len(calls) <= 1
 
+    @pytest.mark.parametrize("side, theta", [("up", "0.2"), ("down", "-1")])
+    def test_theta_mode_reads_one_curve_value(self, model_file, capsys, monkeypatch, side, theta):
+        calls = []
+        original = models.lg1d_gamma
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models, "lg1d_gamma", counting)
+        code = main(
+            ["verify", "--model", model_file(LG), "--side", side, f"--theta={theta}",
+             "--paths", "500", "--horizon", "4", "--dt", "0.1", "--seed", "2"]
+        )
+        assert code in (0, 1)
+        assert len(calls) == 1
+
 
 class TestExitCodes:
     def test_verification_failure_is_exit_one(self, model_file, capsys):
@@ -384,6 +421,21 @@ class TestExitCodes:
     def test_matrix_model_rejected(self, model_file, capsys, argv):
         assert main(argv[:1] + ["--model", model_file(MD2)] + argv[1:]) == 2
         assert "use the 'riccati' command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tilt", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("record", [BS, LG], ids=["bs", "factor"])
+    def test_non_finite_tilt(self, model_file, capsys, monkeypatch, record, command, tilt):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped before the tilt was checked")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main(
+            [command, "--model", model_file(record), "--ell", "0.6", f"--tilt={tilt}",
+             "--paths", "100", "--horizon", "4", "--dt", "0.1"]
+        )
+        assert code == 2
+        assert "theta_tilt must be finite" in capsys.readouterr().err
 
     def test_numerical_failure(self, model_file, capsys):
         # hopeless exponential-moment request collapses the weights

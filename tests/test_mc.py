@@ -219,6 +219,10 @@ class TestTiltedEstimator:
             tilted_estimate_prob(bs, const_policy(2.5), -0.3, 0.2, Side.UPSIDE, cfg)
         with pytest.raises(ValueError):
             tilted_estimate_prob(bs, const_policy(2.5), 0.3, 0.02, Side.DOWNSIDE, cfg)
+        for side in Side:
+            for tilt in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    tilted_estimate_prob(bs, const_policy(2.5), tilt, 0.2, side, cfg)
 
 
 class TestChebyshev:

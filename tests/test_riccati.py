@@ -20,8 +20,9 @@ from growthtail import (
     solve_care,
     theta_sweep,
 )
-from growthtail.errors import NoStabilizingSolution
-from growthtail.riccati import model_from_dict, solution_record
+from growthtail import riccati
+from growthtail.errors import DomainError, NoStabilizingSolution
+from growthtail.riccati import _coefficients, _eig_max_real, model_from_dict, solution_record
 
 
 def embed_1d(K, B1, B0, s, g, rho) -> LinearFactorMD:
@@ -54,6 +55,19 @@ def synthetic_m2() -> LinearFactorMD:
         B0=np.array([0.5, 0.3]),
         sigma=np.hstack([np.diag([0.3, 0.4]), 0.05 * rng.normal(size=(2, 2))]),
         gamma=np.hstack([0.05 * rng.normal(size=(2, 2)), np.diag([0.6, 0.7])]),
+    )
+
+
+def random_md(rng, m: int, d: int) -> LinearFactorMD:
+    """Random valid model: -(SPD) + skew is Hurwitz, Gaussian sigma has full row rank."""
+    q = d + m
+    A, S = rng.normal(size=(m, m)), rng.normal(size=(m, m))
+    return LinearFactorMD(
+        K=-(A @ A.T / m + rng.uniform(0.2, 1.0) * np.eye(m)) + 0.5 * (S - S.T),
+        B1=rng.uniform(-1.0, 1.0, size=(d, m)),
+        B0=rng.uniform(0.1, 1.0, size=d) * rng.choice([-1.0, 1.0], size=d),
+        sigma=rng.normal(scale=0.5, size=(d, q)),
+        gamma=rng.normal(scale=0.5, size=(m, q)),
     )
 
 
@@ -162,6 +176,21 @@ class TestSolveCare:
         with pytest.raises(NoStabilizingSolution):
             solve_care(model, 0.6)
 
+    @pytest.mark.parametrize("theta", [math.nan, -math.inf, math.inf, 1.0],
+                             ids=["nan", "-inf", "inf", "one"])
+    @pytest.mark.parametrize("call", ["solve_care", "policy_md", "gamma_md", "riccati_residual"])
+    def test_tilt_not_finite_or_below_one_is_domain_error(self, call, theta):
+        model = synthetic_m2()
+        qv = solve_care(model, -0.3)
+        calls = {
+            "solve_care": lambda: solve_care(model, theta),
+            "policy_md": lambda: policy_md(model, theta, qv),
+            "gamma_md": lambda: gamma_md(model, theta, qv),
+            "riccati_residual": lambda: riccati_residual(model, theta, qv.C),
+        }
+        with pytest.raises(DomainError):
+            calls[call]()
+
 
 class TestResidual:
     def test_zero_matrix_at_zero_tilt(self):
@@ -237,6 +266,51 @@ class TestThetaSweep:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             theta_sweep(synthetic_m2(), [0.2, 0.1])
+
+    @pytest.mark.parametrize("grid", [[math.nan], [-math.inf, 0.0], [0.0, 0.2, math.inf]],
+                             ids=["nan", "-inf", "inf"])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            theta_sweep(synthetic_m2(), grid)
+
+    def test_each_tilt_built_and_certified_once(self, monkeypatch):
+        counts = dict.fromkeys(
+            ["_coefficients", "_newton", "solve_care", "_eig_max_real", "riccati_residual"], 0
+        )
+        for name in counts:
+            original = getattr(riccati, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(riccati, name, counting)
+        # both branches, a warm start, and continuation past the domain boundary
+        sweep = theta_sweep(embed_1d(-1.0, 1.0, 0.5, 1.0, 1.0, 0.0), np.linspace(-1.5, 0.7, 12))
+        assert any(p.ok for p in sweep.points) and not all(p.ok for p in sweep.points)
+        bound = counts["_newton"] + counts["solve_care"]
+        assert counts["_coefficients"] <= bound
+        assert counts["_eig_max_real"] <= bound
+        assert counts["riccati_residual"] == 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 3),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(-2.0, 0.0),
+        hi=st.floats(0.0, 0.99),
+        n=st.integers(2, 10),
+    )
+    def test_row_certificates_equal_recomputed_property(self, m, d, seed, lo, hi, n):
+        model = random_md(np.random.default_rng(seed), m, d)
+        for p in theta_sweep(model, np.linspace(lo, hi, n)).points:
+            if not p.ok:
+                continue
+            M, Kt, _, _, _ = _coefficients(model, p.theta)
+            assert p.residual == riccati_residual(model, p.theta, p.quad.C)
+            assert p.eig_max_real == _eig_max_real(Kt + M @ p.quad.C)
+            assert p.gamma == gamma_md(model, p.theta, p.quad)
 
 
 class TestPolicyMD:
