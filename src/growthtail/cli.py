@@ -252,11 +252,18 @@ def _build_policy(model, side: Side, args, rate=None):
     return models.policy_at_tilt(model, args.theta)
 
 
+def _require_target(args, usage: str) -> None:
+    """--ell or a finite --theta, checked before any path is stepped."""
+    if args.ell is None and args.theta is None:
+        raise ValueError(usage)
+    if args.ell is None and not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
+
+
 def cmd_simulate(args) -> int:
     model = _require_scalar_model(_load_model(args.model))
     side = _side(args.side)
-    if args.ell is None and args.theta is None:
-        raise ValueError("simulate needs --ell (tail probability) or --theta (log-Laplace)")
+    _require_target(args, "simulate needs --ell (tail probability) or --theta (log-Laplace)")
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     auto = args.ell is not None and args.tilt == "auto"  # one rate for the tilt and the policy
     rate = models.rate_for_target(model, args.ell, side) if auto else None
@@ -429,8 +436,7 @@ def _verify_theta(model, side: Side, args, checks: list) -> None:
 def cmd_verify(args) -> int:
     model = _require_scalar_model(_load_model(args.model))
     side = _side(args.side)
-    if args.ell is None and args.theta is None:
-        raise ValueError("verify needs --ell or --theta")
+    _require_target(args, "verify needs --ell or --theta")
     checks: list[dict] = []
     if args.ell is not None:
         _verify_ell(model, side, args, checks)

@@ -33,14 +33,20 @@ Estimators
 Reproducibility
 ---------------
 All noise comes from counter-based Philox streams keyed by
-(seed, substream, step index); path i always reads column block i of a
-step's block, so results are bit-identical for a fixed path count no
-matter how path batches are scheduled.
+(seed, substream, step index), and path i always reads row i of its
+step's draw, so a run is bit-identical for a fixed seed, substream,
+path count and step grid.  In a run of 2**20 or more normals a worker
+thread draws and scales the increments one handoff of steps ahead while
+the caller advances the previous ones; a shorter run draws them in line.
+The stream and the draw of every step are the same either way, so the
+prefetch changes no realised number.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -66,6 +72,14 @@ __all__ = [
 
 _ESS_FLOOR = 0.01
 _BLOWUP_CHECK_INTERVAL = 64
+# Philox keys hold the step index in 32 bits, below the substream.
+_MAX_STEPS = 1 << 32
+# Each handoff to the noise worker holds at least this many normals.
+_HANDOFF_NORMALS = 1 << 16
+# A run with fewer normals (about 20 ms of draws) is drawn in line: starting
+# a thread costs 0.1-0.3 ms, and several ms while another thread spins on
+# the caller's CPU, as OpenBLAS's pool does for a while after numpy loads.
+_PREFETCH_NORMALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,21 +92,32 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if not 0 < self.dt <= self.horizon:
-            raise ValueError("dt must lie in (0, horizon]")
+        if not math.isfinite(self.horizon) or not self.horizon > 0:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not math.isfinite(self.dt) or not 0 < self.dt <= self.horizon:
+            raise ValueError(f"dt must be finite and lie in (0, horizon], got {self.dt}")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        # the ratio test first: an overflowed ratio cannot be floored
+        if not self.horizon / self.dt < _MAX_STEPS or self._n_steps() >= _MAX_STEPS:
+            raise ValueError(
+                f"horizon {self.horizon} and dt {self.dt} give 2**32 or more steps"
+            )
+
+    def _split(self) -> tuple[int, float]:
+        """Number of full steps and the shortened last step (0 if none)."""
+        n_full = int(math.floor(self.horizon / self.dt + 1e-9))
+        rem = self.horizon - n_full * self.dt
+        return n_full, rem if rem > 1e-12 * self.dt else 0.0
+
+    def _n_steps(self) -> int:
+        n_full, rem = self._split()
+        return n_full + (rem > 0)
 
     def steps(self) -> list[float]:
         """Step sizes: horizon/dt full steps plus a shortened last step."""
-        n_full = int(math.floor(self.horizon / self.dt + 1e-9))
-        rem = self.horizon - n_full * self.dt
-        out = [self.dt] * n_full
-        if rem > 1e-12 * self.dt:
-            out.append(rem)
-        return out
+        n_full, rem = self._split()
+        return [self.dt] * n_full + ([rem] if rem else [])
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +159,66 @@ def _step_normals(seed: int, substream: int, step: int, out: np.ndarray) -> None
     gen.standard_normal(out=out)
 
 
+def _current_cpu() -> Optional[int]:
+    """The CPU this thread runs on, where Linux's /proc reports it."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: Optional[int]) -> None:
+    """Move this thread off ``cpu`` if another allowed CPU exists.
+
+    Where the scheduler does not balance load (a Linux cpuset with
+    sched_load_balance off), a new thread starts on its creator's CPU and
+    stays there, so the draw would only time-share the stepper's core.
+    The allowed set is restored at once; the thread stays where it landed
+    until the scheduler moves it.
+    """
+    if cpu is None:
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):  # no affinity calls on this platform
+        pass
+
+
+def _handoffs(n_steps: int, run: int) -> list:
+    """Consecutive spans of ``run`` steps covering the run; the last also takes the remainder."""
+    starts = range(0, max(n_steps // run, 1) * run, run)
+    return [range(a, b) for a, b in zip(starts, [*starts[1:], n_steps])]
+
+
+def _fill(seed: int, substream: int, steps: list, span: range, buf: np.ndarray) -> None:
+    """Brownian increments sqrt(h) * N(0, 1) of the steps in span, one per row of buf."""
+    for i, k in enumerate(span):
+        _step_normals(seed, substream, k, buf[i])
+        buf[i] *= math.sqrt(steps[k])
+
+
+def _draw_ahead(seed, substream, steps, spans, free, ready, caller_cpu) -> None:
+    """Worker: fill one buffer from ``free`` per span, in order, and put it on ``ready``.
+
+    A None from ``free`` stops the worker; an exception from the draw is
+    put on ``ready`` for the caller to raise.
+    """
+    try:
+        _leave_cpu(caller_cpu)
+        for span in spans:
+            buf = free.get()
+            if buf is None:
+                return
+            _fill(seed, substream, steps, span, buf)
+            ready.put(buf)
+    except BaseException as exc:  # the caller re-raises it
+        ready.put(exc)
+
+
 def _run_paths(
     arrays: FactorMarket,
     gain: np.ndarray,
@@ -153,37 +238,71 @@ def _run_paths(
     f_int = np.zeros(n) if record_f_theta is not None else None
     if theta_tilt is not None:
         C, D = CD if CD is not None else (np.zeros((m, m)), np.zeros(m))
-    buf = np.empty((n, q))
-    t = 0.0
-    for k, h in enumerate(steps):
-        pi = Y @ gain.T + intercept                       # (n, d)
-        A = pi @ arrays.sigma                             # (n, q), rows sigma'pi
-        drift_b = Y @ arrays.B1.T + arrays.B0             # (n, d)
-        pi_b = np.einsum("ij,ij->i", pi, drift_b)
-        quad = np.einsum("ij,ij->i", A, A)                # pi' ss' pi
-        _step_normals(cfg.seed, substream, k, buf)
-        dW = buf * math.sqrt(h)
-        if theta_tilt is not None:
-            H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
-            logw -= np.einsum("ij,ij->i", H, dW) + 0.5 * np.einsum("ij,ij->i", H, H) * h
-            dW = dW + H * h
-        L += (pi_b - 0.5 * quad) * h + np.einsum("ij,ij->i", A, dW)
-        if m:
-            Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
-        if f_int is not None:
-            f_int += (pi_b - 0.5 * (1.0 - record_f_theta) * quad) * h
-        t += h
-        if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 == len(steps):
-            bad = ~np.isfinite(L)
+    # A long run's noise comes in handoffs of consecutive steps, each holding
+    # at least _HANDOFF_NORMALS normals.  This thread draws the first one;
+    # the worker fills the spare of two buffers with the next handoff while
+    # this thread steps through the other.  A short run is drawn in line,
+    # one step at a time.
+    ahead = len(steps) * n * q >= _PREFETCH_NORMALS
+    spans = _handoffs(len(steps), -(-_HANDOFF_NORMALS // (n * q)) if ahead else 1)
+    block = np.empty((len(spans[-1]), n, q))
+    worker = None
+    if ahead:
+        import queue  # here, not at the top: it adds about 1 ms to every start-up
+
+        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+        free.put(np.empty_like(block))
+        worker = threading.Thread(
+            target=_draw_ahead,
+            args=(cfg.seed, substream, steps, spans[1:], free, ready, _current_cpu()),
+            daemon=True,
+        )
+        worker.start()
+    try:
+        _fill(cfg.seed, substream, steps, spans[0], block)
+        j = 0
+        t = 0.0
+        for k, h in enumerate(steps):
+            pi = Y @ gain.T + intercept                       # (n, d)
+            A = pi @ arrays.sigma                             # (n, q), rows sigma'pi
+            drift_b = Y @ arrays.B1.T + arrays.B0             # (n, d)
+            pi_b = np.einsum("ij,ij->i", pi, drift_b)
+            quad = np.einsum("ij,ij->i", A, A)                # pi' ss' pi
+            if k == spans[j].stop:
+                j += 1
+                if worker is None:
+                    _fill(cfg.seed, substream, steps, spans[j], block)
+                else:
+                    free.put(block)
+                    block = ready.get()
+                    if isinstance(block, BaseException):
+                        raise block
+            dW = block[k - spans[j].start]                    # sqrt(h) * N(0, 1)
+            if theta_tilt is not None:
+                H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
+                logw -= np.einsum("ij,ij->i", H, dW) + 0.5 * np.einsum("ij,ij->i", H, H) * h
+                dW = dW + H * h
+            L += (pi_b - 0.5 * quad) * h + np.einsum("ij,ij->i", A, dW)
             if m:
-                bad |= ~np.isfinite(Y).all(axis=1)
-            if bad.any():
-                idx = int(np.argmax(bad))
-                raise NumericalBlowup(
-                    f"non-finite state on path {idx} near t={t:.6g}",
-                    path_index=idx,
-                    time=t,
-                )
+                Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
+            if f_int is not None:
+                f_int += (pi_b - 0.5 * (1.0 - record_f_theta) * quad) * h
+            t += h
+            if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 == len(steps):
+                bad = ~np.isfinite(L)
+                if m:
+                    bad |= ~np.isfinite(Y).all(axis=1)
+                if bad.any():
+                    idx = int(np.argmax(bad))
+                    raise NumericalBlowup(
+                        f"non-finite state on path {idx} near t={t:.6g}",
+                        path_index=idx,
+                        time=t,
+                    )
+    finally:
+        if worker is not None:
+            free.put(None)
+            worker.join()
     return L, Y, logw, f_int
 
 
@@ -259,6 +378,8 @@ def estimate_log_laplace(sample: PathSample, theta: float) -> SimResult:
     exponential weights is reported and a collapse below 1% of the path
     count raises WeightDegeneracy.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     T = sample.horizon
     a = theta * sample.L
     amax = float(a.max())

@@ -437,6 +437,41 @@ class TestExitCodes:
         assert code == 2
         assert "theta_tilt must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--horizon", "inf"], "horizon must be positive and finite"),
+            (["--horizon=1e300"], "2**32 or more steps"),
+            (["--horizon", "1e12", "--dt", "1e-3"], "2**32 or more steps"),
+            (["--dt", "nan"], "dt must be finite"),
+        ],
+        ids=["inf", "1e300", "1e15-steps", "nan-dt"],
+    )
+    def test_bad_horizon(self, model_file, capsys, monkeypatch, extra, message):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped before the horizon was checked")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        argv = ["simulate", "--model", model_file(BS), "--theta", "0.5", "--pi", "5"]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("pi", [["--pi", "5"], []], ids=["pi", "policy"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_non_finite_theta(self, model_file, capsys, monkeypatch, command, pi, theta):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped before theta was checked")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main(
+            [command, "--model", model_file(BS), f"--theta={theta}", *pi,
+             "--paths", "100", "--horizon", "4", "--dt", "0.1"]
+        )
+        assert code == 2
+        assert "--theta must be finite" in capsys.readouterr().err
+
     def test_numerical_failure(self, model_file, capsys):
         # hopeless exponential-moment request collapses the weights
         code = main(

@@ -1,6 +1,11 @@
 """Simulation and estimator tests against exact Gaussian references."""
 
+import hashlib
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from growthtail import (
     simulate_paths,
     tilted_estimate_prob,
 )
+from growthtail import mc
 from growthtail.errors import NumericalBlowup, WeightDegeneracy
 
 from conftest import bs_tail_oracle, ls_slope
@@ -27,6 +33,93 @@ from conftest import bs_tail_oracle, ls_slope
 
 def const_policy(pi: float) -> FeedbackPolicy:
     return FeedbackPolicy(gain=0.0, intercept=pi)
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def hexes(values) -> list:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def inline_run_paths(model, policy, cfg, theta_tilt=None, substream=0):
+    """The stepper with each step's noise drawn in line, the reference for the prefetch.
+
+    Same arithmetic in the same order as ``mc._run_paths``; only the draw
+    and the sqrt(h) scaling happen on the calling thread, one step at a time.
+    """
+    arrays = model.market()
+    d, m, q = arrays.dims
+    gain, intercept = policy.as_arrays(d, m)
+    n = cfg.n_paths
+    L, Y, logw = np.zeros(n), np.zeros((n, m)), np.zeros(n)
+    if theta_tilt is not None:
+        C, D = model.quadratic_pair(theta_tilt)
+    buf = np.empty((n, q))
+    for k, h in enumerate(cfg.steps()):
+        pi = Y @ gain.T + intercept
+        A = pi @ arrays.sigma
+        drift_b = Y @ arrays.B1.T + arrays.B0
+        pi_b = np.einsum("ij,ij->i", pi, drift_b)
+        quad = np.einsum("ij,ij->i", A, A)
+        mc._step_normals(cfg.seed, substream, k, buf)
+        dW = buf * math.sqrt(h)
+        if theta_tilt is not None:
+            H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
+            logw -= np.einsum("ij,ij->i", H, dW) + 0.5 * np.einsum("ij,ij->i", H, H) * h
+            dW = dW + H * h
+        L += (pi_b - 0.5 * quad) * h + np.einsum("ij,ij->i", A, dW)
+        if m:
+            Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
+    return L, Y, logw
+
+
+def prefetched_run_paths(model, policy, cfg, theta_tilt=None, substream=0):
+    arrays = model.market()
+    d, m, _ = arrays.dims
+    gain, intercept = policy.as_arrays(d, m)
+    CD = model.quadratic_pair(theta_tilt) if theta_tilt is not None else None
+    L, Y, logw, _ = mc._run_paths(
+        arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream
+    )
+    return L, Y, logw
+
+
+def run_bounded(fn, timeout=120.0) -> dict:
+    """Run ``fn`` on a helper thread and fail, rather than hang, if it does not finish.
+
+    Returns its ``result`` or ``error`` with the thread counts taken on the
+    helper just ``before`` and ``after`` the call.
+    """
+    box = {}
+
+    def target():
+        box["before"] = threading.active_count()
+        try:
+            box["result"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+        box["after"] = threading.active_count()
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), f"call still running after {timeout} s"
+    return box
+
+
+def slow_draws(monkeypatch, fail_step=None, error=None):
+    """Make every draw take 10 ms, so the worker is mid-draw when the caller stops."""
+    real = mc._step_normals
+
+    def slow(seed, substream, step, out):
+        time.sleep(0.01)
+        if step == fail_step:
+            raise error
+        real(seed, substream, step, out)
+
+    monkeypatch.setattr(mc, "_step_normals", slow)
 
 
 class TestDeterminism:
@@ -60,6 +153,153 @@ class TestDeterminism:
         tilted = tilted_estimate_prob(bs, const_policy(3.5), 0.0, 0.245, Side.UPSIDE, cfg)
         assert tilted.estimate == direct.estimate
         assert tilted.std_error == pytest.approx(direct.std_error, rel=1e-9)
+
+
+    # Realised values recorded before the noise was drawn on a worker
+    # thread; any change to the stream layout or the step arithmetic shows
+    # here.  The factor-model values go through 2-term BLAS products, so a
+    # BLAS that orders them differently may differ in the last bit.
+    def test_pinned_bs_stream(self, bs):
+        cfg = SimConfig(horizon=5.0, dt=0.05, n_paths=500, seed=99)
+        L = simulate_paths(bs, const_policy(2.5), cfg).L
+        assert hexes(L[[0, 1, 250, 499]]) == [
+            "0x1.aa4dd5fd2b528p-1", "-0x1.92f3d35594520p-3",
+            "0x1.5209a8f00fb34p-1", "-0x1.7ccf974aa2060p-6",
+        ]
+        assert digest(L) == "178f107f500a20ba"
+
+    def test_pinned_factor_stream(self, lg_rho0):
+        cfg = SimConfig(horizon=3.0, dt=0.02, n_paths=400, seed=7)
+        sample = simulate_paths(lg_rho0, lg1d_policy(lg_rho0, -0.5), cfg)
+        idx = [0, 1, 200, 399]
+        assert hexes(sample.L[idx]) == [
+            "0x1.be7df98112a92p+1", "-0x1.c9ca64dcba13ep-1",
+            "0x1.ebb68203d2e2fp-3", "0x1.a44521a45ca6dp+0",
+        ]
+        assert hexes(sample.Y[idx, 0]) == [
+            "0x1.a736153b4244ap-2", "0x1.d93689fb51016p-1",
+            "-0x1.04d0a34ac205cp-3", "0x1.cc3cb27f87f3cp-5",
+        ]
+        assert (digest(sample.L), digest(sample.Y)) == ("c8992a5521994c74", "065df3766c89ce47")
+
+    def test_pinned_tilted_estimate(self, pr):
+        # 40000 paths x 2 noise dimensions x 20 steps: drawn ahead, one step
+        # per handoff
+        cfg = SimConfig(horizon=1.0, dt=0.05, n_paths=40000, seed=43)
+        pol = FeedbackPolicy(gain=-4.0, intercept=0.5)
+        res = tilted_estimate_prob(pr, pol, -0.5, 0.045, Side.DOWNSIDE, cfg)
+        assert hexes([res.estimate, res.std_error, res.extras["ess"]]) == [
+            "0x1.9a61e20f32e58p-2", "0x1.41b8a6b8af131p-9", "0x1.38605fa8ff4dap+15",
+        ]
+
+    def test_pinned_short_last_step(self, bs):
+        # 11 steps, the last one shortened, drawn in line
+        cfg = SimConfig(horizon=1.05, dt=0.1, n_paths=3, seed=1)
+        L = simulate_paths(bs, const_policy(2.5), cfg).L
+        assert hexes(L) == ["0x1.5e19871a66ccdp+0", "0x1.824411fe411b1p-3", "0x1.74bda738d32a1p-4"]
+
+    @pytest.mark.parametrize(
+        "n_paths, horizon, dt, tilt",
+        [
+            (3, 1.05, 0.1, None),        # drawn in line, shortened last step
+            (6000, 4.05, 0.02, None),    # handoffs of 11 (bs) or 6 (pr) steps,
+            (6000, 4.05, 0.02, -0.5),    # the last one longer
+            (70000, 1.55, 0.1, None),    # one step per handoff
+            (70000, 1.55, 0.1, -0.5),
+        ],
+    )
+    @pytest.mark.parametrize("model", ["bs", "pr"])
+    def test_prefetch_matches_inline_draw(self, request, model, n_paths, horizon, dt, tilt):
+        m = request.getfixturevalue(model)
+        pol = FeedbackPolicy(gain=-4.0, intercept=0.5) if model == "pr" else const_policy(2.5)
+        cfg = SimConfig(horizon=horizon, dt=dt, n_paths=n_paths, seed=17)
+        got = prefetched_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        want = inline_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+class TestNoiseWorker:
+    """The worker that draws the noise ahead never outlives a run."""
+
+    def test_handoffs_cover_the_run(self):
+        for n_steps in (1, 10, 21, 22, 100):
+            for run in (1, 3, 11, 22):
+                spans = mc._handoffs(n_steps, run)
+                assert [k for span in spans for k in span] == list(range(n_steps))
+                assert all(len(span) >= run for span in spans) or len(spans) == 1
+                assert all(len(span) < 2 * run for span in spans) or len(spans) == 1
+
+    @pytest.mark.parametrize("n_paths", [50, 1 << 16], ids=["in-line", "ahead"])
+    def test_joined_after_normal_return(self, bs, monkeypatch, n_paths):
+        slow_draws(monkeypatch)
+        cfg = SimConfig(horizon=2.0, dt=0.1, n_paths=n_paths, seed=4)
+        box = run_bounded(lambda: simulate_paths(bs, const_policy(2.5), cfg))
+        assert "error" not in box
+        assert box["after"] == box["before"]
+
+    @pytest.mark.parametrize(
+        "horizon, n_paths",
+        [(2.0, 50), (2.0, 1 << 16), (7.0, 1 << 16)],
+        ids=["in-line", "ahead-at-end", "ahead-at-step-64"],
+    )
+    def test_joined_after_blowup(self, bs, monkeypatch, horizon, n_paths):
+        # test_blowup_detected's configuration, the same drawn ahead, and a
+        # blow-up caught at the 64th of 70 steps while later steps are drawn
+        slow_draws(monkeypatch)
+        cfg = SimConfig(horizon=horizon, dt=0.1, n_paths=n_paths, seed=4)
+        box = run_bounded(lambda: simulate_paths(bs, const_policy(1e200), cfg))
+        assert isinstance(box["error"], NumericalBlowup)
+        assert box["after"] == box["before"]
+
+    @pytest.mark.parametrize("fail_step", [0, 13])
+    @pytest.mark.parametrize("n_paths", [50, 1 << 16], ids=["in-line", "ahead"])
+    def test_draw_error_reaches_caller(self, bs, monkeypatch, n_paths, fail_step):
+        error = RuntimeError("draw failed")
+        slow_draws(monkeypatch, fail_step, error)
+        cfg = SimConfig(horizon=2.0, dt=0.1, n_paths=n_paths, seed=4)
+        box = run_bounded(lambda: simulate_paths(bs, const_policy(2.5), cfg))
+        assert box["error"] is error
+        assert box["after"] == box["before"]
+
+    def test_concurrent_runs_bit_identical(self, bs, lg_rho0):
+        # more callers than cores, with a short switch interval, so that a
+        # buffer handed back or refilled too early would change a path
+        jobs = [
+            (bs, const_policy(2.5), SimConfig(2.0, 0.02, 12000, 21)),
+            (lg_rho0, lg1d_policy(lg_rho0, -0.5), SimConfig(2.0, 0.02, 6000, 22)),
+        ] * 3
+        want = [simulate_paths(*job).L for job in jobs]
+        got = [None] * len(jobs)
+
+        def run(i):
+            got[i] = simulate_paths(*jobs[i]).L
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(jobs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+    def test_leaving_a_cpu_keeps_the_allowed_set(self):
+        allowed = os.sched_getaffinity(0)
+        seen = {}
+
+        def worker():
+            mc._leave_cpu(mc._current_cpu())
+            seen["allowed"] = os.sched_getaffinity(0)
+
+        run_bounded(worker)
+        assert seen["allowed"] == allowed
 
 
 class TestPathLaws:
@@ -154,6 +394,13 @@ class TestLogLaplace:
         for n in (1000, 10000):
             ratio = rms[n] / rms[10 * n]
             assert math.sqrt(10.0) / 2.0 <= ratio <= 2.0 * math.sqrt(10.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, bs, theta):
+        cfg = SimConfig(horizon=1.0, dt=0.1, n_paths=10, seed=31)
+        sample = simulate_paths(bs, const_policy(3.0), cfg)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            estimate_log_laplace(sample, theta)
 
     def test_weight_degeneracy_raised(self, bs):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=1000, seed=33)
@@ -309,6 +556,32 @@ class TestConfigValidation:
             SimConfig(horizon=1.0, dt=2.0, n_paths=10, seed=1)
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, dt=0.1, n_paths=1, seed=1)
+
+    @pytest.mark.parametrize(
+        "horizon, dt",
+        [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (math.inf, math.inf), (-math.inf, 0.1)],
+    )
+    def test_non_finite_rejected(self, horizon, dt):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(horizon=horizon, dt=dt, n_paths=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "horizon, dt",
+        [
+            (2.0**32, 1.0),           # 2**32 full steps
+            (2.0**32 - 0.5, 1.0),     # 2**32 - 1 full steps and a shortened one
+            (1e12, 1e-3),
+            (1e300, 1e-300),          # horizon/dt overflows to inf
+        ],
+    )
+    def test_step_count_limited_to_32_bits(self, horizon, dt):
+        # the Philox key holds the step index in 32 bits below the substream
+        with pytest.raises(ValueError, match="2\\*\\*32 or more steps"):
+            SimConfig(horizon=horizon, dt=dt, n_paths=10, seed=1)
+
+    def test_largest_step_count_accepted(self):
+        cfg = SimConfig(horizon=2.0**32 - 1, dt=1.0, n_paths=10, seed=1)
+        assert cfg._n_steps() == 2**32 - 1
 
     def test_last_step_shortened(self):
         cfg = SimConfig(horizon=1.05, dt=0.1, n_paths=2, seed=1)
