@@ -36,7 +36,6 @@ from .models import (
     lg1d_D,
     lg1d_gamma,
     lg1d_gamma_curve,
-    lg1d_gamma_prime_zero,
     lg1d_policy,
     lg1d_riccati_roots,
     model_from_dict,

@@ -416,7 +416,7 @@ def _verify_theta(model, side: Side, args, checks: list) -> None:
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     sample = mc.simulate_paths(model, policy, cfg)
     res = mc.estimate_log_laplace(sample, theta)
-    lam = models.dual_value(model, side, theta)
+    lam = models.dual_curve(model, side).value(theta)
     exact = isinstance(model, models.BlackScholesModel)
     if exact and args.pi is not None:
         lam = models.bs_gamma(model, theta, args.pi)
@@ -515,6 +515,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or path count too large to allocate
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

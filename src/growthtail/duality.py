@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BeyondSteepLimit, BracketFailure, TargetOutOfRange
@@ -39,7 +40,6 @@ __all__ = [
     "MINUS_INFINITY",
     "RateValue",
     "DualCurve",
-    "clamp_tilt",
     "FrontierPoint",
     "CurveDiagnostics",
     "solve_tilt",
@@ -146,6 +146,11 @@ class DualCurve:
     The derivative is the model-supplied callable when available and a
     central finite difference (step ``max(1e-6, 1e-6*|theta|)``, shrunk
     and one-sided near domain endpoints) otherwise.
+
+    The derivative limits ``deriv_at_zero``, ``deriv_at_lower_limit`` and
+    ``deriv_at_upper_limit`` are computed on first read: a limit passed in
+    is used as given, a missing one is probed once from the derivative, so
+    building a curve evaluates nothing.
     """
 
     def __init__(
@@ -168,30 +173,47 @@ class DualCurve:
         self._evaluate = evaluate
         self._deriv = deriv
         self.name = name
-
-        if deriv_at_zero is None:
-            deriv_at_zero = deriv(0.0) if deriv is not None else self._fd_deriv(0.0)
-        self.deriv_at_zero = float(deriv_at_zero)
-        if side is Side.DOWNSIDE:
-            if deriv_at_lower_limit is None:
-                deriv_at_lower_limit = self._estimate_lower_limit()
+        # given limits shadow the cached properties below
+        if deriv_at_zero is not None:
+            self.deriv_at_zero = float(deriv_at_zero)
+        if side is Side.DOWNSIDE and deriv_at_lower_limit is not None:
             self.deriv_at_lower_limit = float(deriv_at_lower_limit)
-            self.deriv_at_upper_limit = self.deriv_at_zero
-            self.steep = False
-        else:
-            self.deriv_at_lower_limit = None
-            if deriv_at_upper_limit is None:
-                deriv_at_upper_limit = self._probe_upper_limit()
+        if side is Side.UPSIDE and deriv_at_upper_limit is not None:
             self.deriv_at_upper_limit = float(deriv_at_upper_limit)
-            self.steep = math.isinf(self.deriv_at_upper_limit)
-            if self.steep:
-                self.deriv_at_upper_limit = math.inf
+
+    # -- derivative limits, computed on first read ----------------------
+
+    @cached_property
+    def deriv_at_zero(self) -> float:
+        """Lambda'(0)."""
+        return float(self._deriv(0.0)) if self._deriv is not None else self._fd_deriv(0.0)
+
+    @cached_property
+    def deriv_at_lower_limit(self) -> Optional[float]:
+        """Lambda'(-inf) of a downside curve; None for an upside one."""
+        return float(self._estimate_lower_limit()) if self.side is Side.DOWNSIDE else None
+
+    @cached_property
+    def deriv_at_upper_limit(self) -> float:
+        """Lambda' at theta_bar (+inf for a steep upside curve); Lambda'(0) downside."""
+        if self.side is Side.DOWNSIDE:
+            return self.deriv_at_zero
+        return float(self._probe_upper_limit())
+
+    @property
+    def steep(self) -> bool:
+        """The derivative diverges at the right endpoint."""
+        return math.isinf(self.deriv_at_upper_limit)
 
     # -- evaluation ---------------------------------------------------
 
     def clamp(self, theta: float) -> float:
         """Pull theta just inside the domain when it sits on/past an endpoint."""
-        return clamp_tilt(self.side, self.theta_bar, theta)
+        if self.side is Side.UPSIDE:
+            if math.isfinite(self.theta_bar) and theta >= self.theta_bar:
+                return self.theta_bar * (1.0 - _BOUNDARY_CLAMP)
+            return max(theta, 0.0)
+        return min(theta, 0.0)
 
     def value(self, theta: float) -> float:
         """Lambda(theta), evaluated at the clamped tilt."""
@@ -250,16 +272,6 @@ class DualCurve:
                 return cur
             prev = cur
         return prev
-
-
-def clamp_tilt(side: Side, theta_bar: float, theta: float) -> float:
-    """Pull theta just inside the side's domain, [0, theta_bar) or (-inf, 0],
-    when it sits on/past an endpoint: :meth:`DualCurve.clamp` without a curve."""
-    if side is Side.UPSIDE:
-        if math.isfinite(theta_bar) and theta >= theta_bar:
-            return theta_bar * (1.0 - _BOUNDARY_CLAMP)
-        return max(theta, 0.0)
-    return min(theta, 0.0)
 
 
 def solve_tilt(curve: DualCurve, target: float) -> float:

@@ -127,7 +127,6 @@ class PathSample:
     L: np.ndarray
     Y: np.ndarray
     horizon: float
-    f_integral: Optional[np.ndarray] = None
 
     @property
     def n_paths(self) -> int:
@@ -227,7 +226,6 @@ def _run_paths(
     theta_tilt: Optional[float] = None,
     CD=None,
     substream: int = 0,
-    record_f_theta: Optional[float] = None,
 ):
     d, m, q = arrays.dims
     n = cfg.n_paths
@@ -235,7 +233,6 @@ def _run_paths(
     L = np.zeros(n)
     Y = np.zeros((n, m))
     logw = np.zeros(n)
-    f_int = np.zeros(n) if record_f_theta is not None else None
     if theta_tilt is not None:
         C, D = CD if CD is not None else (np.zeros((m, m)), np.zeros(m))
     # A long run's noise comes in handoffs of consecutive steps, each holding
@@ -285,8 +282,6 @@ def _run_paths(
             L += (pi_b - 0.5 * quad) * h + np.einsum("ij,ij->i", A, dW)
             if m:
                 Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
-            if f_int is not None:
-                f_int += (pi_b - 0.5 * (1.0 - record_f_theta) * quad) * h
             t += h
             if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 == len(steps):
                 bad = ~np.isfinite(L)
@@ -303,7 +298,7 @@ def _run_paths(
         if worker is not None:
             free.put(None)
             worker.join()
-    return L, Y, logw, f_int
+    return L, Y, logw
 
 
 def simulate_paths(
@@ -311,22 +306,17 @@ def simulate_paths(
     policy: FeedbackPolicy,
     cfg: SimConfig,
     substream: int = 0,
-    record_f_theta: Optional[float] = None,
 ) -> PathSample:
     """Terminal samples of (L_T, Y_T) under the model's own dynamics.
 
     Deterministic given (model, policy, cfg): noise is read from
-    counter-based per-step substreams.  ``record_f_theta`` additionally
-    accumulates the running integral of the tilted growth integrand
-    f(theta, y, pi) = pi'b(y) - (1-theta)/2 pi'ss'pi along each path.
+    counter-based per-step substreams.
     """
     arrays = model.market()
     d, m, _ = arrays.dims
     gain, intercept = policy.as_arrays(d, m)
-    L, Y, _, f_int = _run_paths(
-        arrays, gain, intercept, cfg, substream=substream, record_f_theta=record_f_theta
-    )
-    return PathSample(L=L, Y=Y, horizon=cfg.horizon, f_integral=f_int)
+    L, Y, _ = _run_paths(arrays, gain, intercept, cfg, substream=substream)
+    return PathSample(L=L, Y=Y, horizon=cfg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +427,7 @@ def tilted_estimate_prob(
     d, m, _ = arrays.dims
     gain, intercept = policy.as_arrays(d, m)
     CD = model.quadratic_pair(theta_tilt)
-    L, Y, logw, _ = _run_paths(
+    L, Y, logw = _run_paths(
         arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream
     )
     sample = PathSample(L=L, Y=Y, horizon=cfg.horizon)
@@ -474,13 +464,6 @@ class RateFitResult:
     slope: float
     intercept: float
     rows: list
-
-    def log_probs(self):
-        return [
-            (row.horizon, row.result.log_estimate)
-            for row in self.rows
-            if row.result.log_estimate is not None
-        ]
 
 
 def rate_fit(

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import astuple, dataclass
 from typing import Optional, Union
 
@@ -43,7 +42,6 @@ from .duality import (
     RateValue,
     Regime,
     Side,
-    clamp_tilt,
     conjugate_downside,
     conjugate_upside,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "LinearFactor1D",
     "PlatenRebolledo",
     "FeedbackPolicy",
-    "GammaPrimeZero",
-    "GammaPrimeMismatch",
     "bs_gamma",
     "bs_dual",
     "bs_policy",
@@ -66,13 +62,11 @@ __all__ = [
     "lg1d_D",
     "lg1d_gamma",
     "lg1d_gamma_curve",
-    "lg1d_gamma_prime_zero",
     "lg1d_policy",
     "pr_bounds",
     "pr_tilt",
     "pr_rates",
     "dual_curve",
-    "dual_value",
     "rate_for_target",
     "policy_at_tilt",
     "policy_for_target",
@@ -388,7 +382,7 @@ def _lg1d_solve(model: LinearFactor1D, theta: float) -> tuple[float, float]:
             f"minus root fails the closed-loop stability check at theta={theta}"
         )
     if theta >= theta_bar:
-        raise DomainError(f"D(theta) requires theta < theta_bar = {theta_bar}")
+        raise DomainError(f"theta={theta} must be below theta_bar={theta_bar}")
     d = (
         -(model.B0 / (model.K * model.sigma_norm))
         * theta
@@ -422,21 +416,17 @@ def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
     )
 
 
-def _lg1d_slope_at_zero(model: LinearFactor1D) -> float:
-    # Gamma'(0) by central difference of the closed-form value; the formula
-    # spans both signs of theta, so no one-sided loss here.
-    h = 1e-6
-    return (lg1d_gamma(model, h) - lg1d_gamma(model, -h)) / (2.0 * h)
-
-
 def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
     """Dual curve for the factor model, with finite-difference derivative.
 
+    Gamma'(0), the stationary mean growth rate of the log-optimal policy,
+    is the closed form B0^2/(2|sigma|^2) - |gamma|^2 B1^2/(4|sigma|^2 K).
     No closed form for Gamma' is used away from 0; the curve is smooth and
     steep at theta_bar, so the central difference with adaptive step is
     accurate wherever the conjugation engine probes it.
     """
     _, theta_bar = lg1d_beta_thetabar(model)
+    s2 = model.sigma_norm**2
 
     def evaluate(theta: float) -> float:
         return lg1d_gamma(model, theta)
@@ -445,57 +435,15 @@ def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
         side,
         evaluate,
         theta_bar=theta_bar,
-        deriv_at_zero=_lg1d_slope_at_zero(model),
+        deriv_at_zero=model.B0**2 / (2.0 * s2)
+        - model.gamma_norm**2 * model.B1**2 / (4.0 * s2 * model.K),
         deriv_at_upper_limit=math.inf,
         name=f"linear-factor-{side.name.lower()}",
     )
 
 
-class GammaPrimeMismatch(UserWarning):
-    """Numeric Gamma'(0) disagrees with the reference formula."""
-
-
-@dataclass(frozen=True)
-class GammaPrimeZero:
-    """Gamma'(0) two ways: numeric derivative (binding) and reference formula.
-
-    The reference formula B0^2/(2|sigma|^2) - B1^2 |gamma| / (4 |sigma|^2 K)
-    carries a first-power |gamma| whose dimensions are suspect (the
-    Platen-Rebolledo reduction requires |gamma|^2); the numeric derivative
-    of the curve is authoritative and a mismatch beyond ``tol`` is flagged.
-    """
-
-    numeric: float
-    reference: float
-    tol: float = 1e-4
-
-    @property
-    def agree(self) -> bool:
-        return abs(self.numeric - self.reference) <= self.tol
-
-
-def lg1d_gamma_prime_zero(model: LinearFactor1D) -> GammaPrimeZero:
-    """Gamma'(0) with a consistency diagnostic against the reference formula."""
-    numeric = _lg1d_slope_at_zero(model)
-    reference = model.B0**2 / (2.0 * model.sigma_norm**2) - (
-        model.B1**2 * model.gamma_norm
-    ) / (4.0 * model.sigma_norm**2 * model.K)
-    out = GammaPrimeZero(numeric=numeric, reference=reference)
-    if not out.agree:
-        warnings.warn(
-            f"Gamma'(0): numeric {numeric:.8g} vs reference formula {reference:.8g}; "
-            "using the numeric value",
-            GammaPrimeMismatch,
-            stacklevel=2,
-        )
-    return out
-
-
 def lg1d_policy(model: LinearFactor1D, theta: float) -> FeedbackPolicy:
-    """Optimal affine feedback fraction pi(y) at risk-sensitivity theta."""
-    _, theta_bar = lg1d_beta_thetabar(model)
-    if theta >= theta_bar:
-        raise DomainError(f"policy requires theta < theta_bar = {theta_bar}")
+    """Optimal affine feedback fraction pi(y) at risk-sensitivity theta < theta_bar."""
     c, d = _lg1d_solve(model, theta)
     s = model.sigma_norm
     g = model.gamma_norm
@@ -564,19 +512,6 @@ def dual_curve(model: ModelSpec, side: Side) -> DualCurve:
     if isinstance(model, LinearFactor1D):
         return lg1d_gamma_curve(model, side)
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def dual_value(model: ModelSpec, side: Side, theta: float) -> float:
-    """``dual_curve(model, side).value(theta)`` without the curve's endpoint probes.
-
-    Building a factor-model curve probes its derivative at zero and, on the
-    downside, its limit at -infinity (dozens of curve evaluations); one
-    value at the same clamped tilt needs none of them.
-    """
-    if isinstance(model, LinearFactor1D):
-        _, theta_bar = lg1d_beta_thetabar(model)
-        return float(lg1d_gamma(model, clamp_tilt(side, theta_bar, theta)))
-    return dual_curve(model, side).value(theta)  # other curves have closed-form limits
 
 
 def rate_for_target(model: ModelSpec, target: float, side: Side) -> RateValue:

@@ -54,7 +54,6 @@ __all__ = [
     "policy_md",
     "theta_sweep",
     "model_from_dict",
-    "solution_record",
 ]
 
 _NEWTON_TOL = 1e-11      # failure threshold after the iteration budget
@@ -108,10 +107,6 @@ class QuadraticValue:
     gamma: float
     residual: float
     eig_max_real: float
-
-    def value(self, y) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(0.5 * y @ self.C @ y + self.D @ y)
 
 
 def _sinv(model: LinearFactorMD, theta: float) -> np.ndarray:
@@ -334,15 +329,3 @@ def theta_sweep(model: LinearFactorMD, thetas: Sequence[float]) -> SweepResult:
                 continue
             results[theta] = SweepPoint(theta, warm.gamma, warm.residual, warm.eig_max_real, warm)
     return SweepResult(points=[results[t] for t in grid], breakdown_theta=breakdown)
-
-
-def solution_record(model: LinearFactorMD, qv: QuadraticValue) -> dict:
-    """JSON-ready record of a solution with its residual and eigenvalue certificates."""
-    return {
-        "theta": qv.theta,
-        "C": qv.C.tolist(),
-        "D": qv.D.tolist(),
-        "gamma": qv.gamma,
-        "residual": qv.residual,
-        "eig_max_real": qv.eig_max_real,
-    }

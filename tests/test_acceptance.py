@@ -45,7 +45,6 @@ from growthtail import (
     lg1d_D,
     lg1d_gamma,
     lg1d_gamma_curve,
-    lg1d_gamma_prime_zero,
     lg1d_policy,
     lg1d_riccati_roots,
     pr_rates,
@@ -55,7 +54,6 @@ from growthtail import (
     simulate_paths,
     solve_care,
 )
-from growthtail.models import GammaPrimeMismatch
 
 from conftest import ls_slope
 
@@ -346,20 +344,16 @@ def test_08_steepness_and_derivative_checks():
 
     rng = np.random.default_rng(8080)
     gp_ok = True
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GammaPrimeMismatch)
-        for _ in range(20):
-            m = LinearFactor1D(
-                K=-float(rng.uniform(0.1, 3.0)),
-                B1=float(rng.uniform(-2.0, 2.0)),
-                B0=float(rng.uniform(0.1, 2.0)),
-                sigma_norm=float(rng.uniform(0.1, 2.0)),
-                gamma_norm=float(rng.uniform(0.1, 2.0)),
-                rho=float(rng.uniform(-1.0, 1.0)),
-            )
-            gp_ok &= lg1d_gamma_prime_zero(m).numeric > 0.0
+    for _ in range(20):
+        m = LinearFactor1D(
+            K=-float(rng.uniform(0.1, 3.0)),
+            B1=float(rng.uniform(-2.0, 2.0)),
+            B0=float(rng.uniform(0.1, 2.0)),
+            sigma_norm=float(rng.uniform(0.1, 2.0)),
+            gamma_norm=float(rng.uniform(0.1, 2.0)),
+            rho=float(rng.uniform(-1.0, 1.0)),
+        )
+        gp_ok &= lg1d_gamma_curve(m, Side.UPSIDE).deriv_at_zero > 0.0
 
     steep_ok = True
     steep_cases = [

@@ -8,13 +8,14 @@ import warnings
 
 import pytest
 
-from growthtail import mc, models, riccati
+from growthtail import cli, mc, models, riccati
 from growthtail.cli import main
 
 
 BS = {"b": 0.1, "sigma": 0.2}
 PR = {"K": -0.5, "sigma_norm": 0.2}
 LG = {"K": -1.0, "B1": 1.0, "B0": 0.5, "sigma_norm": 1.0, "gamma_norm": 1.0, "rho": 0.0}
+LG05 = {"K": -1.2, "B1": 0.8, "B0": 0.4, "sigma_norm": 0.9, "gamma_norm": 1.1, "rho": 0.5}
 MD1 = {
     "K": [[-1.0]],
     "B1": [[1.0]],
@@ -72,6 +73,24 @@ class TestDual:
         )
         assert code == 0
         assert float(rows[0]["lambda"]) == pytest.approx(-0.15403910236246117, abs=1e-9)
+
+
+    def test_downside_factor_curve_evaluations(self, model_file, capsys, monkeypatch):
+        # the grid's values and derivatives and the convexity check; no
+        # limit of the curve is read, so none is probed
+        calls = []
+        original = models.lg1d_gamma
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(models, "lg1d_gamma", counting)
+        code, _, _ = run_csv(
+            capsys, ["dual", "--model", model_file(LG05), "--side", "down", "--grid=-2:0:5"]
+        )
+        assert code == 0
+        assert len(calls) == 33
 
 
 class TestFrontier:
@@ -350,6 +369,29 @@ class TestVerify:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["simulate", "--theta", "0.5", "--pi", "5", "--paths", "100000000000",
+              "--horizon", "1", "--dt", "1"], mc, "_run_paths"),
+            (["frontier", "--grid", "0.1:0.2:100000000000"], cli, "_parse_grid"),
+        ],
+        ids=["simulate-paths", "frontier-grid"],
+    )
+    def test_memory_error_is_config_error(
+        self, model_file, capsys, monkeypatch, argv, module, name
+    ):
+        # the patched allocation fails at once; nothing large is allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(module, name, too_large)
+        code = main(argv[:1] + ["--model", model_file(BS)] + argv[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate")
+        assert "Traceback" not in err
+
     def test_verification_failure_is_exit_one(self, model_file, capsys):
         # a constant-fraction override cannot reproduce the optimal dual
         # value of the factor model

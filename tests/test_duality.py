@@ -7,7 +7,10 @@ import pytest
 
 from growthtail import (
     MINUS_INFINITY,
+    BlackScholesModel,
     DualCurve,
+    LinearFactor1D,
+    PlatenRebolledo,
     Regime,
     Side,
     bs_dual,
@@ -16,6 +19,7 @@ from growthtail import (
     conjugate_upside,
     frontier,
     lg1d_gamma_curve,
+    models,
     near_optimal_tilt,
     solve_tilt,
 )
@@ -154,6 +158,49 @@ class TestConjugateDownside:
         bb = black_box_bs(Side.DOWNSIDE)
         assert abs(bb.deriv_at_lower_limit) <= 1e-6
         assert conjugate_downside(bb, -0.02).regime is Regime.UNREACHABLE
+
+
+class TestLimitsOnFirstRead:
+    MODELS = [
+        BlackScholesModel(b=0.1, sigma=0.2),
+        LinearFactor1D(K=-1.2, B1=0.8, B0=0.4, sigma_norm=0.9, gamma_norm=1.1, rho=0.5),
+        PlatenRebolledo(K=-0.5, sigma_norm=0.2),
+    ]
+
+    @pytest.fixture
+    def gamma_calls(self, monkeypatch):
+        calls = []
+        original = models.lg1d_gamma
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(models, "lg1d_gamma", counting)
+        return calls
+
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    @pytest.mark.parametrize("model", MODELS, ids=["bs", "factor", "ou"])
+    def test_building_a_model_curve_evaluates_nothing(self, gamma_calls, model, side):
+        models.dual_curve(model, side)
+        assert gamma_calls == []
+
+    def test_building_a_black_box_curve_evaluates_nothing(self):
+        calls = []
+        curve = DualCurve(
+            Side.UPSIDE, lambda t: calls.append(t) or Q * t / (1.0 - t), theta_bar=1.0
+        )
+        assert calls == []
+        assert curve.steep  # the upper limit is probed on this first read
+        assert calls
+
+    def test_lower_limit_probed_once(self, gamma_calls):
+        curve = models.dual_curve(self.MODELS[1], Side.DOWNSIDE)
+        first = curve.deriv_at_lower_limit
+        n = len(gamma_calls)
+        assert n > 0
+        assert curve.deriv_at_lower_limit == first
+        assert len(gamma_calls) == n
 
 
 class TestNaNTarget:

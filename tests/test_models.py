@@ -1,10 +1,11 @@
 """Model backend tests: closed forms, reductions, and root certificates."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthtail import (
     BlackScholesModel,
@@ -23,7 +24,6 @@ from growthtail import (
     lg1d_D,
     lg1d_gamma,
     lg1d_gamma_curve,
-    lg1d_gamma_prime_zero,
     lg1d_policy,
     lg1d_riccati_roots,
     model_from_dict,
@@ -35,7 +35,6 @@ from growthtail import (
     rate_for_target,
 )
 from growthtail.errors import DomainError, TargetOutOfRange
-from growthtail.models import GammaPrimeMismatch
 
 from conftest import bs_tail_oracle, closed_loop_drift, scalar_riccati_oracle
 
@@ -205,44 +204,48 @@ class TestLinearFactorScalars:
         assert lg1d_policy(m, 0.4).intercept == pytest.approx(0.1 / (0.04 * 0.6), abs=1e-10)
 
     def test_gamma_prime_zero_explicit(self, lg_rho0):
-        out = lg1d_gamma_prime_zero(lg_rho0)
-        assert out.numeric == pytest.approx(0.375, abs=1e-6)
-        assert out.reference == pytest.approx(0.375, abs=1e-12)
-        assert out.agree
+        slope = lg1d_gamma_curve(lg_rho0, Side.UPSIDE).deriv_at_zero
+        assert slope == pytest.approx(0.375, abs=1e-15)
 
     def test_gamma_prime_zero_no_loading(self):
         m = LinearFactor1D(K=-1.0, B1=0.0, B0=0.3, sigma_norm=0.5, gamma_norm=0.8, rho=0.2)
-        out = lg1d_gamma_prime_zero(m)
-        assert out.reference == pytest.approx(0.3**2 / (2 * 0.25), abs=1e-12)
-        assert out.numeric == pytest.approx(out.reference, abs=1e-6)
+        for side in Side:
+            slope = lg1d_gamma_curve(m, side).deriv_at_zero
+            assert slope == pytest.approx(0.3**2 / (2 * 0.25), abs=1e-15)
 
-    def test_gamma_prime_zero_mismatch_flagged(self):
-        # |gamma| != 1 separates the printed formula from the true slope;
-        # the implicit-function derivative gives B0^2/(2 s^2) - g^2 B1^2/(4 K s^2)
+    def test_gamma_prime_zero_matches_central_difference(self):
+        # |gamma| != 1 and rho != 0: the implicit-function derivative
+        # B0^2/(2 s^2) - g^2 B1^2/(4 K s^2) against a difference of the value
         m = LinearFactor1D(K=-1.3, B1=0.7, B0=0.6, sigma_norm=0.8, gamma_norm=1.7, rho=-0.4)
-        with pytest.warns(GammaPrimeMismatch):
-            out = lg1d_gamma_prime_zero(m)
         expected = m.B0**2 / (2 * m.sigma_norm**2) - m.gamma_norm**2 * m.B1**2 / (
             4 * m.K * m.sigma_norm**2
         )
-        assert out.numeric == pytest.approx(expected, abs=1e-6)
-        assert not out.agree
-        assert out.numeric > 0
+        h = 1e-6
+        numeric = (lg1d_gamma(m, h) - lg1d_gamma(m, -h)) / (2 * h)
+        assert numeric == pytest.approx(expected, abs=1e-6)
+        assert lg1d_gamma_curve(m, Side.UPSIDE).deriv_at_zero == pytest.approx(expected, rel=1e-15)
 
     def test_gamma_prime_zero_positive_random_models(self):
         rng = np.random.default_rng(42)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GammaPrimeMismatch)
-            for _ in range(20):
-                m = LinearFactor1D(
-                    K=-float(rng.uniform(0.1, 3.0)),
-                    B1=float(rng.uniform(-2.0, 2.0)),
-                    B0=float(rng.uniform(0.1, 2.0)),
-                    sigma_norm=float(rng.uniform(0.1, 2.0)),
-                    gamma_norm=float(rng.uniform(0.1, 2.0)),
-                    rho=float(rng.uniform(-1.0, 1.0)),
-                )
-                assert lg1d_gamma_prime_zero(m).numeric > 0.0
+        for _ in range(20):
+            m = LinearFactor1D(
+                K=-float(rng.uniform(0.1, 3.0)),
+                B1=float(rng.uniform(-2.0, 2.0)),
+                B0=float(rng.uniform(0.1, 2.0)),
+                sigma_norm=float(rng.uniform(0.1, 2.0)),
+                gamma_norm=float(rng.uniform(0.1, 2.0)),
+                rho=float(rng.uniform(-1.0, 1.0)),
+            )
+            assert lg1d_gamma_curve(m, Side.UPSIDE).deriv_at_zero > 0.0
+
+    @pytest.mark.parametrize("fn", [lg1d_gamma, lg1d_D, lg1d_policy])
+    def test_domain_error_at_and_past_theta_bar(self, lg_rho0, fn):
+        # beta = 2 > 1, so theta_bar = 1/2 lies inside (0, 1)
+        _, theta_bar = lg1d_beta_thetabar(lg_rho0)
+        assert theta_bar == 0.5
+        for theta in (theta_bar, 0.5 * (theta_bar + 1.0)):
+            with pytest.raises(DomainError, match="theta_bar"):
+                fn(lg_rho0, theta)
 
     def test_policy_pr_closed_forms(self, pr):
         lf = pr.as_linear_factor()
@@ -328,14 +331,11 @@ class TestReductions:
 
     def test_pr_thresholds_match_generic_machinery(self, pr):
         # the rational bounds are the curve's derivative at zero and its
-        # limit at minus infinity; the noise norm is 0.2 here, so the
-        # first-power reference formula disagrees and gets flagged
+        # limit at minus infinity
         lf = pr.as_linear_factor()
         ell_lower, ell_upper = pr_bounds(pr)
-        with pytest.warns(GammaPrimeMismatch):
-            out = lg1d_gamma_prime_zero(lf)
-        assert out.numeric == pytest.approx(ell_upper, abs=1e-6)
         curve = lg1d_gamma_curve(lf, Side.DOWNSIDE)
+        assert curve.deriv_at_zero == pytest.approx(ell_upper, abs=1e-6)
         assert curve.deriv_at_lower_limit == pytest.approx(ell_lower, abs=1e-6)
 
     def test_pr_tilt_matches_curve_derivative(self, pr):
@@ -359,6 +359,48 @@ class TestReductions:
             assert pol.intercept == pytest.approx(
                 bs.b / (bs.sigma**2 * (1.0 - theta)), abs=1e-10
             )
+
+
+def _check_slope_and_convexity(model: LinearFactor1D) -> None:
+    # closed-form Gamma'(0) against a central difference of the value, step
+    # 1e-4 min(1, theta_bar); Gamma(0) = 0; midpoint convexity inside (-5, theta_bar)
+    _, theta_bar = lg1d_beta_thetabar(model)
+    h = 1e-4 * min(1.0, theta_bar)
+    numeric = (lg1d_gamma(model, h) - lg1d_gamma(model, -h)) / (2.0 * h)
+    for side in Side:
+        curve = lg1d_gamma_curve(model, side)
+        assert curve.deriv_at_zero == pytest.approx(numeric, rel=1e-6)
+        assert curve.value(0.0) == 0.0
+    lam = [lg1d_gamma(model, float(t)) for t in np.linspace(-5.0, theta_bar, 41)[1:-1]]
+    for a, mid, b in zip(lam, lam[1:], lam[2:]):
+        assert mid <= 0.5 * (a + b) + 1e-10 * (1.0 + abs(a) + abs(b))
+
+
+class TestSlopeAtZeroProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        K=st.floats(-3.0, -0.1),
+        B1=st.floats(-2.0, 2.0),
+        B0=st.floats(0.1, 2.0),
+        s=st.floats(0.1, 2.0),
+        g=st.floats(0.1, 2.0),
+        rho=st.floats(-1.0, 1.0),
+    )
+    def test_factor_models(self, K, B1, B0, s, g, rho):
+        # the ranges of the acceptance suite's random factor models
+        _check_slope_and_convexity(
+            LinearFactor1D(K=K, B1=B1, B0=B0, sigma_norm=s, gamma_norm=g, rho=rho)
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(K=st.floats(-3.0, -0.1), s=st.floats(0.1, 2.0))
+    def test_ou_log_price_models(self, K, s):
+        pr = PlatenRebolledo(K=K, sigma_norm=s)
+        for side in Side:
+            assert lg1d_gamma_curve(pr, side).deriv_at_zero == pytest.approx(
+                pr_bounds(pr)[1], rel=1e-14, abs=0.0
+            )
+        _check_slope_and_convexity(pr)
 
 
 class TestSteepness:

@@ -22,7 +22,7 @@ from growthtail import (
 )
 from growthtail import riccati
 from growthtail.errors import DomainError, NoStabilizingSolution
-from growthtail.riccati import _coefficients, _eig_max_real, model_from_dict, solution_record
+from growthtail.riccati import _coefficients, _eig_max_real, model_from_dict
 
 
 def embed_1d(K, B1, B0, s, g, rho) -> LinearFactorMD:
@@ -135,8 +135,7 @@ class TestSolveCare:
             qv = solve_care(model, theta)
             assert np.array_equal(qv.C, qv.C.T)  # stored exactly symmetric
             assert riccati_residual(model, theta, qv.C) <= 1e-9
-            rec = solution_record(model, qv)
-            assert rec["eig_max_real"] <= -1e-10
+            assert qv.eig_max_real <= -1e-10
 
     def test_d_solves_linear_system_exactly(self):
         model = synthetic_m2()
