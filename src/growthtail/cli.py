@@ -137,11 +137,9 @@ def cmd_dual(args) -> int:
     side = _side(args.side)
     grid = _parse_grid(args.grid)
     curve = models.dual_curve(model, side)
-    rows = [
-        {"theta": t, "lambda": curve.value(t), "lambda_prime": curve.deriv(t)}
-        for t in grid
-    ]
-    diag = duality.check_curve(curve, grid)
+    samples = [(curve.value(t), curve.deriv(t)) for t in grid]
+    rows = [{"theta": t, "lambda": v, "lambda_prime": d} for t, (v, d) in zip(grid, samples)]
+    diag = duality.check_curve(curve, grid, samples=samples)
     payload = {
         "command": "dual",
         "side": args.side,

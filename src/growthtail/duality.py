@@ -457,15 +457,21 @@ class CurveDiagnostics:
         )
 
 
-def check_curve(curve: DualCurve, thetas: Iterable[float], tol: float = 1e-9) -> CurveDiagnostics:
+def check_curve(
+    curve: DualCurve, thetas: Iterable[float], tol: float = 1e-9, samples: Optional[list] = None
+) -> CurveDiagnostics:
     """Check Lambda(0)=0, convexity, and derivative monotonicity on a grid.
 
-    A non-finite value or derivative anywhere on the grid reports NaN
-    violations, so the diagnostics are not ``ok``.
+    ``samples``, the (value, derivative) pairs already computed at ``thetas``
+    in order, spare evaluating the curve there again.  A non-finite value or
+    derivative anywhere on the grid reports NaN violations, so the
+    diagnostics are not ``ok``.
     """
-    grid = sorted(curve.clamp(float(t)) for t in thetas)
-    vals = [curve.value(t) for t in grid]
-    ders = [curve.deriv(t) for t in grid]
+    thetas = [float(t) for t in thetas]
+    if samples is None:
+        samples = [(curve.value(t), curve.deriv(t)) for t in thetas]
+    points = sorted((curve.clamp(t), v, d) for t, (v, d) in zip(thetas, samples))
+    grid, vals, ders = ([p[i] for p in points] for i in range(3))
     conv = 0.0
     for (t1, v1), (t2, v2), (t3, v3) in zip(
         zip(grid, vals), zip(grid[1:], vals[1:]), zip(grid[2:], vals[2:])

@@ -222,6 +222,12 @@ class FeedbackPolicy:
         return gain, intercept
 
 
+def _check_tilt(theta: float) -> None:
+    """The one tilt guard: DomainError unless -inf < theta < 1 (NaN fails it too)."""
+    if not -math.inf < theta < 1.0:
+        raise DomainError(f"theta={theta} {'must be below 1' if theta >= 1.0 else 'is not finite'}")
+
+
 # ---------------------------------------------------------------------------
 # Black-Scholes closed forms
 # ---------------------------------------------------------------------------
@@ -341,9 +347,8 @@ def _lg1d_quadratic(model: LinearFactor1D, theta: float) -> tuple[float, float, 
     disc = (1-theta)(1-theta*beta) is clamped to zero just below zero and
     raises DomainError when more negative (theta past theta_bar).
     """
+    _check_tilt(theta)
     a, beta, theta_bar = _lg1d_domain(model)
-    if theta >= 1.0:
-        raise DomainError(f"theta={theta} must be below 1")
     disc = (1.0 - theta) * (1.0 - theta * beta)
     if disc < 0.0:
         if not disc > -1e-12 * max(1.0, abs(theta)):
@@ -525,8 +530,7 @@ def rate_for_target(model: ModelSpec, target: float, side: Side) -> RateValue:
 def policy_at_tilt(model: ModelSpec, theta: float) -> FeedbackPolicy:
     """Optimal policy of the risk-sensitive dual problem at tilt theta."""
     if isinstance(model, BlackScholesModel):
-        if theta >= 1.0:
-            raise DomainError(f"theta={theta} must be below 1")
+        _check_tilt(theta)
         return FeedbackPolicy(gain=0.0, intercept=model.b / (model.sigma**2 * (1.0 - theta)))
     return lg1d_policy(model, theta)
 

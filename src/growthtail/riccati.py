@@ -14,16 +14,16 @@ is solved in symmetrized form; the two coincide in the scalar reduction.
 
 Among the roots, only the one making the closed-loop factor drift
 A_cl = Kt + M C Hurwitz is meaningful (the controlled factor stays
-ergodic).  It is found by Newton iteration on the symmetrized equation:
-each step solves the Lyapunov-type linear system
+ergodic).  Each tilt is solved on its own: the stable invariant subspace of
+the Hamiltonian [[Kt, M], [-2N, -Kt']] gives that root (Laub, IEEE TAC 1979)
+and Newton steps on the symmetrized equation polish it, each solving
 
     A_cl' X + X A_cl = -2 R(C)
 
-densely over the m^2 unknowns (desk scale, m <= 8), starting from C = 0
-(exact at theta = 0, stabilizing because K is Hurwitz) and continuing in
-theta with warm starts.  M can be sign-indefinite in no regime here (its
-inner matrix has eigenvalues 1 and 1/(1-theta), both positive below 1),
-but N flips sign with theta and no definiteness is assumed anywhere.
+densely over the m^2 unknowns (desk scale, m <= 8).  M can be sign-indefinite
+in no regime here (its inner matrix has eigenvalues 1 and 1/(1-theta), both
+positive below 1), but N flips sign with theta and no definiteness is
+assumed anywhere.
 
 The linear coefficient D then solves A_cl' D = -t1 (s gamma' C + B1)'(ss')^-1 B0
 directly, and the curve value Gamma(theta) and the affine feedback policy
@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoStabilizingSolution, SingularClosedLoop
-from .models import FactorMarket, FeedbackPolicy, model_from_dict
+from .models import FactorMarket, FeedbackPolicy, _check_tilt, model_from_dict
 
 __all__ = [
     "LinearFactorMD",
@@ -110,9 +110,8 @@ class QuadraticValue:
 
 
 def _sinv(model: LinearFactorMD, theta: float) -> np.ndarray:
-    """(ss')^-1 for use at the tilt: the one check that theta is finite and below 1."""
-    if not -math.inf < theta < 1.0:
-        raise DomainError(f"theta={theta} {'must be below 1' if theta >= 1.0 else 'is not finite'}")
+    """(ss')^-1 for use at the tilt, after the tilt guard."""
+    _check_tilt(theta)
     return np.linalg.inv(model.sigma @ model.sigma.T)
 
 
@@ -149,9 +148,9 @@ def _eig_max_real(A: np.ndarray) -> float:
 def _newton(coef, C0: np.ndarray, theta: float) -> np.ndarray:
     """Newton iteration from C0 at one tilt; raises NoStabilizingSolution on failure.
 
-    Iterates while the residual improves, polishing well below the failure
-    threshold because the curve value near the domain boundary amplifies
-    residual error through the nearly singular closed-loop drift.
+    Takes one step at least and iterates while the residual improves, polishing
+    well below the failure threshold because the curve value near the domain
+    boundary amplifies residual error through the nearly singular closed-loop drift.
     """
     M, Kt, N, _, _ = coef
     m = Kt.shape[0]
@@ -160,11 +159,11 @@ def _newton(coef, C0: np.ndarray, theta: float) -> np.ndarray:
     C = 0.5 * (C0 + C0.T)
     best_C, best_res = C, math.inf
     prev_res = math.inf
-    for _ in range(_NEWTON_MAXIT):
+    for it in range(_NEWTON_MAXIT):
         R, res = _residual(C, coef)
         if res < best_res:
             best_C, best_res = C, res
-        if res <= _NEWTON_POLISH * scale:
+        if it and res <= _NEWTON_POLISH * scale:
             break
         if res > 0.9 * prev_res and best_res <= _NEWTON_TOL * scale:
             break  # stalled inside the acceptable band
@@ -191,33 +190,25 @@ def _newton(coef, C0: np.ndarray, theta: float) -> np.ndarray:
     return best_C
 
 
-def _solve_C(model: LinearFactorMD, theta: float, coef, warm: Optional[np.ndarray]) -> np.ndarray:
-    """Stabilizing C(theta) by Newton with continuation in theta from 0, given the
-    coefficients at theta.  The step cap of 0.2 grows to a tenth of the tilt reached
-    beyond |theta| = 2, so the number of solves grows only with log |theta|."""
-    if warm is not None:
-        try:
-            return _newton(coef, warm, theta)
-        except NoStabilizingSolution:
-            pass
-    C = np.zeros((model.m, model.m))
-    cur = 0.0
-    sign = 1.0 if theta > 0 else -1.0
-    step = min(0.1, abs(theta))
-    while abs(theta - cur) > 1e-14:
-        nxt = cur + sign * min(step, abs(theta - cur))
-        try:
-            C_next = _newton(coef if nxt == theta else _coefficients(model, nxt), C, nxt)
-        except NoStabilizingSolution:
-            step *= 0.5
-            if step < 1e-7 * max(1.0, abs(theta)):
-                raise NoStabilizingSolution(
-                    f"continuation stalled at theta={cur} on the way to {theta}"
-                ) from None
-            continue
-        C, cur = C_next, nxt
-        step = min(step * 1.6, max(0.2, 0.1 * abs(cur)))
-    return C
+def _solve_C(coef, theta: float) -> np.ndarray:
+    """Stabilizing C(theta) from the Hamiltonian's stable invariant subspace (Laub 1979).
+
+    The eigenvectors [X1; X2] of H = [[Kt, M], [-2N, -Kt']] for its m eigenvalues
+    of smallest real part give C = X2 X1^-1, which one Newton solve then polishes.
+    """
+    M, Kt, N, _, _ = coef
+    m = Kt.shape[0]
+    if theta == 0.0:
+        return np.zeros((m, m))
+    w, V = np.linalg.eig(np.block([[Kt, M], [-2.0 * N, -Kt.T]]))
+    X = V[:, np.argsort(w.real)[:m]]
+    try:
+        C = np.linalg.solve(X[:m].T, X[m:].T).T.real
+    except np.linalg.LinAlgError as exc:
+        raise NoStabilizingSolution(
+            f"stable subspace of the Hamiltonian is not a graph at theta={theta}"
+        ) from exc
+    return _newton(coef, C, theta)
 
 
 def _gamma(model: LinearFactorMD, coef, C: np.ndarray, D: np.ndarray) -> float:
@@ -230,19 +221,18 @@ def _gamma(model: LinearFactorMD, coef, C: np.ndarray, D: np.ndarray) -> float:
     )
 
 
-def solve_care(
-    model: LinearFactorMD, theta: float, warm: Optional[QuadraticValue] = None
-) -> QuadraticValue:
+def solve_care(model: LinearFactorMD, theta: float) -> QuadraticValue:
     """Stabilizing solution (C, D) of the Riccati system at the given tilt.
 
-    Certifies the symmetrized residual (<= 1e-9) and the Hurwitz property
-    of the closed-loop drift, and returns both certificates and Gamma(theta)
-    with the solution.  A theta that is not finite or not below 1 raises
-    DomainError; one at or past the dual domain boundary surfaces as
-    NoStabilizingSolution.
+    Each tilt is solved on its own: the Hamiltonian's stable subspace gives
+    C and one Newton solve polishes it.  Certifies the symmetrized residual
+    (<= 1e-9) and the Hurwitz property of the closed-loop drift, and returns
+    both certificates and Gamma(theta) with the solution.  A theta that is
+    not finite or not below 1 raises DomainError; one at or past the dual
+    domain boundary surfaces as NoStabilizingSolution.
     """
     M, Kt, _, Sinv, t1 = coef = _coefficients(model, theta)
-    C = _solve_C(model, theta, coef, warm.C if warm is not None else None)
+    C = _solve_C(coef, theta)
     res = _residual(C, coef)[1]
     if not res <= _RESIDUAL_CERT:
         raise NoStabilizingSolution(
@@ -303,29 +293,26 @@ class SweepResult:
 
 
 def theta_sweep(model: LinearFactorMD, thetas: Sequence[float]) -> SweepResult:
-    """Sweep the solver over a sorted, finite tilt grid with warm-started continuation.
+    """Solve every tilt of a sorted, finite grid with one :func:`solve_care` call each.
 
-    Points are solved outward from zero (warm start from the neighbor
-    closer to zero).  Per-point failures are recorded in the row; the
-    first failing positive tilt is reported as the empirical domain
-    boundary (no claim that it equals the true dual boundary).
+    Per-point failures are recorded in the row; the first failing positive
+    tilt is reported as the empirical domain boundary (no claim that it
+    equals the true dual boundary).
     """
     grid = [float(t) for t in thetas]
     if not all(map(math.isfinite, grid)):
         raise ValueError("theta grid must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("theta grid must be sorted ascending")
-    results: dict[float, SweepPoint] = {}
+    points: list[SweepPoint] = []
     breakdown: Optional[float] = None
-    for branch in ([t for t in grid if t < 0][::-1], [t for t in grid if t >= 0]):
-        warm: Optional[QuadraticValue] = None
-        for theta in branch:
-            try:
-                warm = solve_care(model, theta, warm=warm)
-            except (NoStabilizingSolution, SingularClosedLoop, DomainError) as exc:
-                results[theta] = SweepPoint(theta, error=f"{type(exc).__name__}: {exc}")
-                if theta > 0 and breakdown is None:
-                    breakdown = theta
-                continue
-            results[theta] = SweepPoint(theta, warm.gamma, warm.residual, warm.eig_max_real, warm)
-    return SweepResult(points=[results[t] for t in grid], breakdown_theta=breakdown)
+    for theta in grid:
+        try:
+            qv = solve_care(model, theta)
+        except (NoStabilizingSolution, SingularClosedLoop, DomainError) as exc:
+            points.append(SweepPoint(theta, error=f"{type(exc).__name__}: {exc}"))
+            if theta > 0 and breakdown is None:
+                breakdown = theta
+            continue
+        points.append(SweepPoint(theta, qv.gamma, qv.residual, qv.eig_max_real, qv))
+    return SweepResult(points=points, breakdown_theta=breakdown)

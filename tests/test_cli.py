@@ -76,8 +76,9 @@ class TestDual:
 
 
     def test_downside_factor_curve_evaluations(self, model_file, capsys, monkeypatch):
-        # the grid's values and derivatives and the convexity check; no
-        # limit of the curve is read, so none is probed
+        # the grid's values and derivatives, each evaluated once and shared
+        # with the convexity check, and Lambda(0); no limit of the curve is
+        # read, so none is probed
         calls = []
         original = models.lg1d_gamma
 
@@ -90,7 +91,7 @@ class TestDual:
             capsys, ["dual", "--model", model_file(LG05), "--side", "down", "--grid=-2:0:5"]
         )
         assert code == 0
-        assert len(calls) == 33
+        assert len(calls) == 17
 
 
 class TestFrontier:
@@ -187,8 +188,8 @@ class TestRiccati:
         assert main(["riccati", "--model", model_file(BS), "--grid", "0:0.4:3"]) == 2
 
     def test_far_negative_tilt_is_quick(self, model_file, capsys, monkeypatch):
-        # the continuation step grows with |theta| beyond 2: about 125 Newton
-        # solves reach -1e5, where a fixed 0.2 cap needed half a million
+        # each tilt is solved on its own from the Hamiltonian's stable subspace,
+        # so a far-negative tilt costs one Newton solve like any other
         calls = []
         original = riccati._newton
 

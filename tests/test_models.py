@@ -440,6 +440,21 @@ class TestPolicyDispatch:
         zero = policy_for_target(pr, 0.004, Side.DOWNSIDE)
         assert zero.gain == 0.0 and zero.intercept == 0.0
 
+    @pytest.mark.parametrize("theta", [math.nan, -math.inf], ids=["nan", "-inf"])
+    @pytest.mark.parametrize(
+        "call", ["lg1d_gamma", "lg1d_D", "quadratic_pair", "lg1d_policy", "policy_at_tilt_bs"]
+    )
+    def test_tilt_not_finite_is_domain_error(self, bs, lg_rho05, call, theta):
+        calls = {
+            "lg1d_gamma": lambda: lg1d_gamma(lg_rho05, theta),
+            "lg1d_D": lambda: lg1d_D(lg_rho05, theta),
+            "quadratic_pair": lambda: lg_rho05.quadratic_pair(theta),
+            "lg1d_policy": lambda: lg1d_policy(lg_rho05, theta),
+            "policy_at_tilt_bs": lambda: policy_at_tilt(bs, theta),
+        }
+        with pytest.raises(DomainError, match="not finite"):
+            calls[call]()
+
     def test_policy_arrays(self):
         pol = FeedbackPolicy(gain=0.0, intercept=2.5)
         gain, intercept = pol.as_arrays(1, 0)

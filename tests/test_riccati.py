@@ -151,23 +151,49 @@ class TestSolveCare:
         rhs = t1 * (model.sigma @ model.gamma.T @ qv.C + model.B1).T @ Sinv @ model.B0
         assert np.max(np.abs(A_cl.T @ qv.D + rhs)) <= 1e-12
 
-    def test_scipy_cross_check_m2(self):
+    # scipy's own matrix balancing warns on the near-zero entries at tilts like 1e-300
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 4),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(-3.0, 0.99),
+    )
+    def test_scipy_cross_check_property(self, m, d, seed, theta):
+        # wherever scipy finds the stabilizing root, solve_care certifies the same one
         from scipy.linalg import solve_continuous_are
 
-        model = synthetic_m2()
-        for theta in (-0.8, 0.3):
-            qv = solve_care(model, theta)
-            t1 = theta / (1.0 - theta)
-            S = model.sigma @ model.sigma.T
-            Sinv = np.linalg.inv(S)
-            q = model.sigma.shape[1]
-            M = model.gamma @ (np.eye(q) + t1 * model.sigma.T @ Sinv @ model.sigma) @ model.gamma.T
-            Kt = model.K + t1 * model.gamma @ model.sigma.T @ Sinv @ model.B1
-            N = 0.5 * t1 * model.B1.T @ Sinv @ model.B1
-            evals, evecs = np.linalg.eigh(M)
-            b = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
-            X = solve_continuous_are(Kt, b, 2.0 * N, -np.eye(2))
-            assert np.max(np.abs(X - qv.C)) <= 1e-8
+        model = random_md(np.random.default_rng(seed), m, d)
+        t1 = theta / (1.0 - theta)
+        Sinv = np.linalg.inv(model.sigma @ model.sigma.T)
+        q = model.sigma.shape[1]
+        M = model.gamma @ (np.eye(q) + t1 * model.sigma.T @ Sinv @ model.sigma) @ model.gamma.T
+        Kt = model.K + t1 * model.gamma @ model.sigma.T @ Sinv @ model.B1
+        N = 0.5 * t1 * model.B1.T @ Sinv @ model.B1
+        evals, evecs = np.linalg.eigh(M)
+        b = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
+        try:
+            X = solve_continuous_are(Kt, b, 2.0 * N, -np.eye(m))
+        except (np.linalg.LinAlgError, ValueError):
+            return
+        if not (riccati_residual(model, theta, X) <= 1e-9 and _eig_max_real(Kt + M @ X) < 0.0):
+            return  # scipy found no stabilizing root (or a non-finite or inexact one)
+        qv = solve_care(model, theta)
+        assert np.max(np.abs(X - qv.C)) <= 1e-8 * max(1.0, np.max(np.abs(qv.C)))
+
+    @pytest.mark.parametrize("params", EMBEDDINGS)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_scalar_embedding_certified_near_theta_bar(self, params, k):
+        # each tilt is solved on its own, so the last grid step before the
+        # boundary costs no more than any other and loses no accuracy
+        twin = scalar_twin(*params)
+        _, theta_bar = lg1d_beta_thetabar(twin)
+        theta = theta_bar * (1.0 - 10.0**-k)
+        qv = solve_care(embed_1d(*params), theta)
+        assert qv.residual <= 1e-9 and qv.eig_max_real < 0.0
+        for got, closed in ((qv.gamma, lg1d_gamma(twin, theta)), (qv.D[0], lg1d_D(twin, theta))):
+            assert abs(got - closed) <= 1e-8 * max(1.0, abs(closed))
 
     def test_no_stabilizing_solution_past_boundary(self):
         # scalar twin has theta_bar = 0.5
@@ -284,13 +310,32 @@ class TestThetaSweep:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(riccati, name, counting)
-        # both branches, a warm start, and continuation past the domain boundary
+        # negative and positive tilts, zero, and tilts past the domain boundary
         sweep = theta_sweep(embed_1d(-1.0, 1.0, 0.5, 1.0, 1.0, 0.0), np.linspace(-1.5, 0.7, 12))
         assert any(p.ok for p in sweep.points) and not all(p.ok for p in sweep.points)
         bound = counts["_newton"] + counts["solve_care"]
         assert counts["_coefficients"] <= bound
         assert counts["_eig_max_real"] <= bound
         assert counts["riccati_residual"] == 0
+
+    def test_each_tilt_one_newton_call(self, monkeypatch):
+        calls = []
+        original = riccati._newton
+
+        def counting(coef, C0, theta):
+            calls.append(theta)
+            return original(coef, C0, theta)
+
+        monkeypatch.setattr(riccati, "_newton", counting)
+        # every model fails somewhere on the grid; a failing tilt makes one call too
+        grid = np.linspace(-2.0, 0.95, 28)
+        models = (embed_1d(-1.0, 1.0, 0.5, 1.0, 1.0, 0.0), synthetic_m2(),
+                  random_md(np.random.default_rng(0), 3, 2))
+        for model in models:
+            calls.clear()
+            sweep = theta_sweep(model, grid)
+            assert sweep.breakdown_theta is not None
+            assert len(calls) == len(set(calls)) and set(calls) <= set(grid.tolist())
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
