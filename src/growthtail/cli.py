@@ -342,10 +342,7 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
                 "oracle": oracle,
             }
         )
-        x = np.array(horizons)
-        y = np.log(oracle)
-        xc = x - x.mean()
-        oracle_slope = float(xc @ (y - y.mean()) / (xc @ xc))
+        oracle_slope = mc._ls_line(horizons, np.log(oracle))[0]
         slope_ok = abs(fit.slope - oracle_slope) <= 0.25 * abs(oracle_slope)
         checks.append(
             {

@@ -12,6 +12,9 @@ Because Lambda is convex, the infimum is located by solving the monotone
 first-order condition Lambda'(theta) = l with bisection.  The engine only
 needs point evaluations of the curve (a finite-difference derivative is
 used when the model supplies none), so it works for black-box curves.
+The two sides are one search: with mu(s) = Lambda(-s), the downside rate
+of Lambda at l is the upside rate of mu at -l, so a downside curve is
+searched as its mirror (see :class:`DualCurve`).
 
 Regimes of the conjugate:
 
@@ -51,7 +54,7 @@ __all__ = [
 ]
 
 # Relative clamp distance from the right domain endpoint, and the derivative
-# magnitude beyond which the boundary limit is treated as +infinity.
+# magnitude beyond which a probed far limit is treated as infinite.
 _BOUNDARY_CLAMP = 1e-9
 _STEEP_THRESHOLD = 1e12
 _TILT_FTOL = 1e-10
@@ -143,14 +146,19 @@ class DualCurve:
     for the other side's endpoint (``theta_bar`` and the upper limit of a
     downside curve, the lower limit of an upside one) are ignored.
 
-    The derivative is the model-supplied callable when available and a
-    central finite difference (step ``max(1e-6, 1e-6*|theta|)``, shrunk
-    and one-sided near domain endpoints) otherwise.
+    The search works on the mirror mu(s) = Lambda(sign*s), s = sign*theta,
+    with sign +1 upside and -1 downside, so both sides run on [0, reach)
+    (reach theta_bar upside, +inf downside) and mu'(s) = sign*Lambda'(sign*s)
+    is nondecreasing there.  The derivative is the model-supplied callable
+    when available and otherwise a central finite difference in s (step
+    ``max(1e-6, 1e-6*|s|)``, shrunk near the reach and one-sided near 0).
 
     The derivative limits ``deriv_at_zero``, ``deriv_at_lower_limit`` and
     ``deriv_at_upper_limit`` are computed on first read: a limit passed in
     is used as given, a missing one is probed once from the derivative, so
-    building a curve evaluates nothing.
+    building a curve evaluates nothing.  The far limit of either side is
+    one cached mu' limit at the reach, where a slope past 1e12 counts as
+    infinite: Lambda'(theta_bar) = +inf upside, Lambda'(-inf) = -inf downside.
     """
 
     def __init__(
@@ -164,41 +172,57 @@ class DualCurve:
         deriv_at_upper_limit: Optional[float] = None,
         name: str = "",
     ):
-        if side is Side.DOWNSIDE:
+        up = side is Side.UPSIDE
+        if not up:
             theta_bar = 0.0
         elif not theta_bar > 0.0:
             raise ValueError("theta_bar must be positive for an upside curve")
         self.side = side
         self.theta_bar = float(theta_bar)
+        self._sign = 1.0 if up else -1.0
+        self._reach = self.theta_bar if up else math.inf
         self._evaluate = evaluate
         self._deriv = deriv
         self.name = name
         # given limits shadow the cached properties below
         if deriv_at_zero is not None:
             self.deriv_at_zero = float(deriv_at_zero)
-        if side is Side.DOWNSIDE and deriv_at_lower_limit is not None:
-            self.deriv_at_lower_limit = float(deriv_at_lower_limit)
-        if side is Side.UPSIDE and deriv_at_upper_limit is not None:
-            self.deriv_at_upper_limit = float(deriv_at_upper_limit)
+        far = deriv_at_upper_limit if up else deriv_at_lower_limit
+        if far is not None:
+            self._far_slope = self._sign * float(far)
 
     # -- derivative limits, computed on first read ----------------------
 
     @cached_property
     def deriv_at_zero(self) -> float:
         """Lambda'(0)."""
-        return float(self._deriv(0.0)) if self._deriv is not None else self._fd_deriv(0.0)
+        return self.deriv(0.0)
 
     @cached_property
+    def _far_slope(self) -> float:
+        """mu' at the reach, probed along s = 2^k when the reach is infinite."""
+        if math.isfinite(self._reach):
+            d = self._slope(self._reach * (1.0 - _BOUNDARY_CLAMP))
+            return math.inf if d > _STEEP_THRESHOLD else d
+        prev = self._slope(1.0)
+        for k in range(1, 60):
+            cur = self._slope(float(2**k))
+            if cur > _STEEP_THRESHOLD:
+                return math.inf
+            if abs(cur - prev) <= max(1e-10, 1e-8 * abs(cur)):
+                return cur
+            prev = cur
+        return prev
+
+    @property
     def deriv_at_lower_limit(self) -> Optional[float]:
         """Lambda'(-inf) of a downside curve; None for an upside one."""
-        return float(self._estimate_lower_limit()) if self.side is Side.DOWNSIDE else None
+        return -self._far_slope if self.side is Side.DOWNSIDE else None
 
-    @cached_property
+    @property
     def deriv_at_upper_limit(self) -> float:
         """Lambda' at theta_bar (+inf for a steep upside curve); Lambda'(0) downside."""
-        if self.side is Side.DOWNSIDE:
-            return self.deriv_at_zero
-        return float(self._probe_upper_limit())
+        return self._far_slope if self.side is Side.UPSIDE else self.deriv_at_zero
 
     @property
     def steep(self) -> bool:
@@ -228,114 +252,67 @@ class DualCurve:
 
     # -- internals ----------------------------------------------------
 
+    def _slope(self, s: float) -> float:
+        """mu'(s) = sign*Lambda'(sign*s), the nondecreasing slope of the mirror."""
+        return self._sign * self.deriv(self._sign * s)
+
     def _fd_deriv(self, theta: float) -> float:
-        h = max(1e-6, 1e-6 * abs(theta))
-        if self.side is Side.UPSIDE:
-            if math.isfinite(self.theta_bar):
-                gap = self.theta_bar - theta
-                h = min(h, gap / 8.0) if gap > 0 else h
-            if theta - h < 0.0:
-                f0 = self._evaluate(theta)
-                f1 = self._evaluate(theta + h)
-                f2 = self._evaluate(theta + 2.0 * h)
-                return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        else:
-            if theta + h > 0.0:
-                f0 = self._evaluate(theta)
-                f1 = self._evaluate(theta - h)
-                f2 = self._evaluate(theta - 2.0 * h)
-                return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-        return (self._evaluate(theta + h) - self._evaluate(theta - h)) / (2.0 * h)
+        sign, s = self._sign, self._sign * theta
+        h = max(1e-6, 1e-6 * abs(s))
+        gap = self._reach - s
+        h = min(h, gap / 8.0) if gap > 0 else h
 
-    def _probe_upper_limit(self) -> float:
-        """Numeric derivative limit at theta_bar; values past 1e12 count as +inf."""
-        if math.isinf(self.theta_bar):
-            prev = self.deriv(1.0)
-            for k in range(1, 60):
-                cur = self.deriv(float(2**k))
-                if cur > _STEEP_THRESHOLD:
-                    return math.inf
-                if abs(cur - prev) <= max(1e-10, 1e-8 * abs(cur)):
-                    return cur
-                prev = cur
-            return prev
-        probe = self.theta_bar * (1.0 - _BOUNDARY_CLAMP)
-        d = self._fd_deriv(probe) if self._deriv is None else float(self._deriv(probe))
-        return math.inf if d > _STEEP_THRESHOLD else d
+        def mu(u: float) -> float:
+            return self._evaluate(sign * u)
 
-    def _estimate_lower_limit(self) -> float:
-        """Estimate Lambda'(-inf) along theta = -2^k until the slope settles."""
-        prev = self.deriv(-1.0)
-        for k in range(1, 60):
-            cur = self.deriv(-float(2**k))
-            if abs(cur - prev) <= max(1e-10, 1e-8 * abs(cur)):
-                return cur
-            prev = cur
-        return prev
+        if s - h < 0.0:
+            return sign * (-3.0 * mu(s) + 4.0 * mu(s + h) - mu(s + 2.0 * h)) / (2.0 * h)
+        return sign * (mu(s + h) - mu(s - h)) / (2.0 * h)
 
 
 def solve_tilt(curve: DualCurve, target: float) -> float:
     """Solve Lambda'(theta) = target by bisection on the monotone derivative.
 
     The target must lie strictly between the derivative limits at the
-    domain endpoints; otherwise, and for a NaN target, TargetOutOfRange is
-    raised.  BracketFailure signals that the expanding search interval never
-    bracketed the target (a non-steep curve, or inconsistent curve data).
+    domain endpoints; otherwise, and for a target that is not finite,
+    TargetOutOfRange is raised.  BracketFailure signals that the expanding
+    search interval never bracketed the target (a non-steep curve, or
+    inconsistent curve data).  Both sides share one bracket search, on the
+    curve's mirror mu'(s) = sign*target.
     """
     ell = float(target)
-    if math.isnan(ell):
-        raise TargetOutOfRange("target is NaN")
-    if curve.side is Side.UPSIDE:
-        if ell <= curve.deriv_at_zero:
-            raise TargetOutOfRange(
-                f"target {ell} at or below the derivative at zero "
-                f"({curve.deriv_at_zero})"
-            )
-        if math.isfinite(curve.deriv_at_upper_limit) and ell >= curve.deriv_at_upper_limit:
-            raise TargetOutOfRange(
-                f"target {ell} at or above the boundary derivative limit "
-                f"({curve.deriv_at_upper_limit})"
-            )
-        lo = 1e-12 * min(curve.theta_bar, 1.0) if math.isfinite(curve.theta_bar) else 1e-12
-        if math.isfinite(curve.theta_bar):
-            hi = curve.theta_bar * (1.0 - _BOUNDARY_CLAMP)
-            if curve.deriv(hi) <= ell:
-                raise BracketFailure(
-                    f"derivative never exceeds target {ell} inside the domain"
-                )
-        else:
-            hi = 1.0
-            for _ in range(_MAX_BRACKET_DOUBLINGS):
-                if curve.deriv(hi) > ell:
-                    break
-                hi *= 2.0
-            else:
-                raise BracketFailure(
-                    f"derivative never exceeds target {ell} up to theta={hi}"
-                )
+    if not math.isfinite(ell):
+        raise TargetOutOfRange("target is NaN" if math.isnan(ell) else "target is not finite")
+    up = curve.side is Side.UPSIDE
+    sign, reach = curve._sign, curve._reach
+    aim = sign * ell
+    d0 = curve.deriv_at_zero
+    if aim <= sign * d0:
+        raise TargetOutOfRange(
+            f"target {ell} at or {'below' if up else 'above'} the derivative at zero ({d0})"
+        )
+    if aim >= curve._far_slope:
+        far = "above the boundary derivative limit" if up else "below the derivative limit at -inf"
+        raise TargetOutOfRange(f"target {ell} at or {far} ({sign * curve._far_slope})")
+    lo = 1e-12 * min(reach, 1.0)
+    if math.isfinite(reach):
+        hi = reach * (1.0 - _BOUNDARY_CLAMP)
+        if curve._slope(hi) <= aim:
+            raise BracketFailure(f"derivative never exceeds target {ell} inside the domain")
     else:
-        if ell >= curve.deriv_at_zero:
-            raise TargetOutOfRange(
-                f"target {ell} at or above the derivative at zero "
-                f"({curve.deriv_at_zero})"
-            )
-        if ell <= curve.deriv_at_lower_limit:
-            raise TargetOutOfRange(
-                f"target {ell} at or below the derivative limit at -inf "
-                f"({curve.deriv_at_lower_limit})"
-            )
-        hi = -1e-12
-        lo = -1.0
+        hi = 1.0
         for _ in range(_MAX_BRACKET_DOUBLINGS):
-            if curve.deriv(lo) < ell:
+            if curve._slope(hi) > aim:
                 break
-            lo *= 2.0
+            hi *= 2.0
         else:
             raise BracketFailure(
-                f"derivative never falls below target {ell} down to theta={lo}"
+                f"derivative never {'exceeds' if up else 'falls below'} target {ell} "
+                f"{'up' if up else 'down'} to theta={sign * hi}"
             )
+    lo, hi = sorted((sign * lo, sign * hi))
 
-    # Bisection on the nondecreasing derivative; runs to floating-point
+    # Bisection in theta on the nondecreasing derivative; runs to floating-point
     # interval collapse so the tilt itself is resolved, not just the target.
     mid = 0.5 * (lo + hi)
     for _ in range(200):
@@ -387,11 +364,6 @@ def conjugate_downside(curve: DualCurve, target: float) -> RateValue:
     if curve.side is not Side.DOWNSIDE:
         raise ValueError("conjugate_downside requires a downside curve")
     ell = float(target)
-    if ell >= curve.deriv_at_zero:
-        raise TargetOutOfRange(
-            f"target {ell} at or above the derivative at zero "
-            f"({curve.deriv_at_zero})"
-        )
     if ell < curve.deriv_at_lower_limit:
         return RateValue.unreachable()
     theta = solve_tilt(curve, ell)

@@ -483,8 +483,8 @@ def rate_fit(
     small probabilities at the longer horizons would otherwise return
     zero hits.
     """
-    if len(horizons) < 3:
-        raise ValueError("need at least 3 horizons for a decay-rate fit")
+    if len(set(map(float, horizons))) < 3:
+        raise ValueError("need at least 3 distinct horizons for a decay-rate fit")
     rows = []
     for k, T in enumerate(horizons):
         cfg_T = replace(cfg, horizon=float(T))
@@ -502,12 +502,16 @@ def rate_fit(
             "fewer than 2 horizons produced a positive estimate; "
             "rerun with a tilted estimator"
         )
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    slope, intercept = _ls_line([p[0] for p in pts], [p[1] for p in pts])
+    return RateFitResult(slope=slope, intercept=intercept, rows=rows)
+
+
+def _ls_line(x, y) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through the points (x, y)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xc = x - x.mean()
     slope = float(xc @ (y - y.mean()) / (xc @ xc))
-    intercept = float(y.mean() - slope * x.mean())
-    return RateFitResult(slope=slope, intercept=intercept, rows=rows)
+    return slope, float(y.mean() - slope * x.mean())
 
 
 def empirical_chebyshev_check(

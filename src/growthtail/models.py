@@ -19,7 +19,8 @@ with ``quadratic_pair(theta)``; the Monte-Carlo engine needs nothing else.
   ``quadratic_pair`` each call it once.
 * :class:`PlatenRebolledo` -- log-price follows the OU factor itself: the
   scalar factor model with ``B1 = K``, ``B0 = |gamma|^2/2``,
-  ``gamma = sigma``, ``rho = 1``, whose rational formulas are fast paths.
+  ``gamma = sigma``, ``rho = 1``.  Its dual curve carries the closed-form
+  derivative and limits; the ``pr_*`` rational formulas are oracles.
 * ``riccati.LinearFactorMD`` -- the validated matrix record, solved by
   ``riccati.solve_care``.
 
@@ -183,7 +184,9 @@ class PlatenRebolledo(LinearFactor1D):
     """Log-price follows an OU process with reversion K < 0 and noise norm |sigma|.
 
     The scalar factor model with B1 = K, B0 = |sigma|^2/2, |gamma| = |sigma|
-    and rho = 1; the ``pr_*`` rational formulas are its fast paths.
+    and rho = 1.  Its dual curve has the closed-form derivative
+    ell_lower + (ell_upper - ell_lower)/sqrt(1-theta); the ``pr_*`` rational
+    formulas check the engine's rates, tilts and limits.
     """
 
     def __init__(self, K: float, sigma_norm: float):
@@ -192,7 +195,7 @@ class PlatenRebolledo(LinearFactor1D):
         )
 
     def as_linear_factor(self) -> LinearFactor1D:
-        """The same market as a plain LinearFactor1D, without the fast paths."""
+        """The same market as a plain LinearFactor1D, without the closed-form derivative."""
         return LinearFactor1D(*astuple(self))
 
 
@@ -463,6 +466,24 @@ def lg1d_policy(model: LinearFactor1D, theta: float) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _pr_dual(model: PlatenRebolledo, side: Side) -> DualCurve:
+    """The factor curve with the closed-form derivative and both limits from pr_bounds.
+
+    Gamma'(theta) = ell_lower + (ell_upper - ell_lower)/sqrt(1-theta).
+    """
+    lower, upper = pr_bounds(model)
+    return DualCurve(
+        side,
+        lambda theta: lg1d_gamma(model, theta),
+        deriv=lambda theta: lower + (upper - lower) / math.sqrt(1.0 - theta),
+        theta_bar=1.0,
+        deriv_at_zero=upper,
+        deriv_at_lower_limit=lower,
+        deriv_at_upper_limit=math.inf,
+        name=f"ou-log-price-{side.name.lower()}",
+    )
+
+
 def pr_bounds(model: PlatenRebolledo) -> tuple[float, float]:
     """(ell_lower, ell_upper): derivative limits at -inf and 0 of the dual curve.
 
@@ -514,15 +535,15 @@ def dual_curve(model: ModelSpec, side: Side) -> DualCurve:
     """The model's dual curve on the requested side."""
     if isinstance(model, BlackScholesModel):
         return bs_dual(model, side)
+    if isinstance(model, PlatenRebolledo):
+        return _pr_dual(model, side)
     if isinstance(model, LinearFactor1D):
         return lg1d_gamma_curve(model, side)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def rate_for_target(model: ModelSpec, target: float, side: Side) -> RateValue:
-    """Decay rate by the fastest available route (closed form, else engine)."""
-    if isinstance(model, PlatenRebolledo):
-        return pr_rates(model, target, side)
+    """Decay rate of the model's dual curve, conjugated by the duality engine."""
     conjugate = conjugate_upside if side is Side.UPSIDE else conjugate_downside
     return conjugate(dual_curve(model, side), target)
 

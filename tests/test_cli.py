@@ -155,6 +155,20 @@ class TestFrontier:
         assert code == 0
         assert rows[0]["regime"] == "" and "TargetOutOfRange" in rows[0]["error"]
 
+    @pytest.mark.parametrize("record", [BS, LG, PR], ids=["bs", "factor", "ou"])
+    def test_infinite_targets(self, model_file, capsys, record):
+        path = model_file(record)
+        code, rows, _ = run_csv(capsys, ["frontier", "--model", path, "--ell", "inf"])
+        assert code == 0
+        assert rows[0]["error"] == "TargetOutOfRange: target is not finite"
+        # -inf keeps its regimes: free upside, unreachable downside
+        code, rows, _ = run_csv(capsys, ["frontier", "--model", path, "--ell=-inf"])
+        assert code == 0 and rows[0]["regime"] == "free" and rows[0]["v"] == "0.0"
+        code, rows, _ = run_csv(
+            capsys, ["frontier", "--model", path, "--side", "down", "--ell=-inf"]
+        )
+        assert code == 0 and rows[0]["regime"] == "unreachable" and rows[0]["v"] == "-inf"
+
 
 class TestRiccati:
     def test_scalar_embedding_matches_closed_form(self, model_file, capsys):
@@ -514,6 +528,30 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--theta must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1:1:3", "2:2:5"])
+    def test_repeated_horizons_rejected(self, model_file, capsys, monkeypatch, grid):
+        # equal horizons leave the decay-rate fit no slope to take
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped before the horizons were checked")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main(["verify", "--model", model_file(BS), "--ell", "0.2", "--grid", grid,
+                     "--paths", "100", "--dt", "0.1"])
+        assert code == 2
+        assert "at least 3 distinct horizons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("record", [BS, LG, PR], ids=["bs", "factor", "ou"])
+    def test_infinite_target(self, model_file, capsys, monkeypatch, record, command):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped for an infinite target")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main([command, "--model", model_file(record), "--ell", "inf",
+                     "--paths", "100", "--horizon", "4", "--dt", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: target is not finite\n"
 
     def test_numerical_failure(self, model_file, capsys):
         # hopeless exponential-moment request collapses the weights

@@ -20,6 +20,7 @@ from growthtail import (
     bs_prob_exact,
     conjugate_downside,
     conjugate_upside,
+    dual_curve,
     lg1d_beta_thetabar,
     lg1d_D,
     lg1d_gamma,
@@ -313,6 +314,32 @@ class TestPlatenRebolledo:
             closed = pr_rates(pr, float(ell), Side.DOWNSIDE)
             engine = conjugate_downside(down, float(ell))
             assert engine.value == pytest.approx(closed.value, abs=1e-9)
+
+    def test_curve_has_closed_form_derivative_and_limits(self, pr):
+        ell_lower, ell_upper = pr_bounds(pr)
+        up, down = dual_curve(pr, Side.UPSIDE), dual_curve(pr, Side.DOWNSIDE)
+        assert up.deriv_at_zero == down.deriv_at_zero == ell_upper
+        assert down.deriv_at_lower_limit == ell_lower and up.steep
+        # Gamma' against a central difference of the Riccati-built curve value
+        for curve, thetas in ((up, (0.1, 0.5, 0.9)), (down, (-50.0, -3.0, -0.5))):
+            for theta in thetas:
+                h = 1e-5
+                cd = (lg1d_gamma(pr, theta + h) - lg1d_gamma(pr, theta - h)) / (2.0 * h)
+                assert curve.deriv(theta) == pytest.approx(cd, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "side, grid", [(Side.UPSIDE, (0.1, 0.5)), (Side.DOWNSIDE, (0.001, 0.125))]
+    )
+    def test_rate_for_target_agrees_with_closed_forms(self, pr, side, grid):
+        # the engine route, with the rational formulas as its oracle
+        for ell in np.linspace(*grid, 17):
+            got, closed = rate_for_target(pr, float(ell), side), pr_rates(pr, float(ell), side)
+            assert got.regime is closed.regime
+            if closed.regime is Regime.INTERIOR:
+                assert abs(got.value - closed.value) <= 1e-12 * max(1.0, abs(closed.value))
+                assert got.tilt == pytest.approx(closed.tilt, rel=1e-9, abs=1e-12)
+            else:
+                assert got == closed
 
 
 class TestReductions:

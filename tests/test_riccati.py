@@ -201,6 +201,21 @@ class TestSolveCare:
         with pytest.raises(NoStabilizingSolution):
             solve_care(model, 0.6)
 
+    @pytest.mark.parametrize("theta", [0.7, 0.9])
+    def test_past_boundary_newton_stops_at_once(self, monkeypatch, theta):
+        # the first Newton step past the boundary does not improve the residual
+        calls = []
+        original = riccati._residual
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(riccati, "_residual", counting)
+        with pytest.raises(NoStabilizingSolution, match="did not reach residual"):
+            solve_care(embed_1d(-1.0, 1.0, 0.5, 1.0, 1.0, 0.0), theta)
+        assert 0 < len(calls) <= 3
+
     @pytest.mark.parametrize("theta", [math.nan, -math.inf, math.inf, 1.0],
                              ids=["nan", "-inf", "inf", "one"])
     @pytest.mark.parametrize("call", ["solve_care", "policy_md", "gamma_md", "riccati_residual"])
