@@ -35,19 +35,20 @@ Reproducibility
 All noise comes from counter-based Philox streams keyed by
 (seed, substream, step index), and path i always reads row i of its
 step's draw, so a run is bit-identical for a fixed seed, substream,
-path count and step grid.  In a run of 2**20 or more normals a worker
-thread draws and scales the increments one handoff of steps ahead while
-the caller advances the previous ones; a shorter run draws them in line.
-The stream and the draw of every step are the same either way, so the
-prefetch changes no realised number.
+path count and step grid.  In a run of 2**20 or more normals a one-thread
+pool draws and scales the increments one handoff of steps ahead while the
+caller advances the previous ones, and is joined on every exit, an error
+included; a shorter run draws them in line.  The stream and the draw of
+every step are the same either way, so the prefetch changes no realised
+number.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,24 +201,6 @@ def _fill(seed: int, substream: int, steps: list, span: range, buf: np.ndarray) 
         buf[i] *= math.sqrt(steps[k])
 
 
-def _draw_ahead(seed, substream, steps, spans, free, ready, caller_cpu) -> None:
-    """Worker: fill one buffer from ``free`` per span, in order, and put it on ``ready``.
-
-    A None from ``free`` stops the worker; an exception from the draw is
-    put on ``ready`` for the caller to raise.
-    """
-    try:
-        _leave_cpu(caller_cpu)
-        for span in spans:
-            buf = free.get()
-            if buf is None:
-                return
-            _fill(seed, substream, steps, span, buf)
-            ready.put(buf)
-    except BaseException as exc:  # the caller re-raises it
-        ready.put(exc)
-
-
 def _run_paths(
     arrays: FactorMarket,
     gain: np.ndarray,
@@ -234,29 +217,26 @@ def _run_paths(
     Y = np.zeros((n, m))
     logw = np.zeros(n)
     if theta_tilt is not None:
-        C, D = CD if CD is not None else (np.zeros((m, m)), np.zeros(m))
+        C, D = CD
     # A long run's noise comes in handoffs of consecutive steps, each holding
-    # at least _HANDOFF_NORMALS normals.  This thread draws the first one;
-    # the worker fills the spare of two buffers with the next handoff while
-    # this thread steps through the other.  A short run is drawn in line,
-    # one step at a time.
+    # at least _HANDOFF_NORMALS normals.  This thread draws the first one; a
+    # one-thread pool fills the spare of two buffers with the next handoff
+    # while this thread steps through the other.  A short run is drawn in
+    # line, one step at a time.
     ahead = len(steps) * n * q >= _PREFETCH_NORMALS
     spans = _handoffs(len(steps), -(-_HANDOFF_NORMALS // (n * q)) if ahead else 1)
     block = np.empty((len(spans[-1]), n, q))
-    worker = None
-    if ahead:
-        import queue  # here, not at the top: it adds about 1 ms to every start-up
+    fill = partial(_fill, cfg.seed, substream, steps)
+    pool = None
+    if len(spans) > 1 and ahead:
+        # here, not at the top: it adds about 7 ms to every start-up
+        from concurrent.futures import ThreadPoolExecutor
 
-        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-        free.put(np.empty_like(block))
-        worker = threading.Thread(
-            target=_draw_ahead,
-            args=(cfg.seed, substream, steps, spans[1:], free, ready, _current_cpu()),
-            daemon=True,
-        )
-        worker.start()
+        pool = ThreadPoolExecutor(1, initializer=_leave_cpu, initargs=(_current_cpu(),))
+        spare = np.empty_like(block)
+        pending = pool.submit(fill, spans[1], spare)
     try:
-        _fill(cfg.seed, substream, steps, spans[0], block)
+        fill(spans[0], block)
         j = 0
         t = 0.0
         for k, h in enumerate(steps):
@@ -267,13 +247,13 @@ def _run_paths(
             quad = np.einsum("ij,ij->i", A, A)                # pi' ss' pi
             if k == spans[j].stop:
                 j += 1
-                if worker is None:
-                    _fill(cfg.seed, substream, steps, spans[j], block)
+                if pool is None:
+                    fill(spans[j], block)
                 else:
-                    free.put(block)
-                    block = ready.get()
-                    if isinstance(block, BaseException):
-                        raise block
+                    pending.result()  # re-raises the draw's own exception
+                    block, spare = spare, block
+                    if j + 1 < len(spans):
+                        pending = pool.submit(fill, spans[j + 1], spare)
             dW = block[k - spans[j].start]                    # sqrt(h) * N(0, 1)
             if theta_tilt is not None:
                 H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
@@ -295,9 +275,8 @@ def _run_paths(
                         time=t,
                     )
     finally:
-        if worker is not None:
-            free.put(None)
-            worker.join()
+        if pool is not None:
+            pool.shutdown()
     return L, Y, logw
 
 
