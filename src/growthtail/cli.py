@@ -34,6 +34,7 @@ from .errors import (
 
 _CONFIG_ERRORS = (ValueError, TargetOutOfRange, BeyondSteepLimit, OSError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (
+    ArithmeticError,  # a float overflow or division by zero in the closed forms
     BracketFailure,
     DomainError,
     ErgodicityViolated,
@@ -251,11 +252,13 @@ def _build_policy(model, side: Side, args, rate=None):
 
 
 def _require_target(args, usage: str) -> None:
-    """--ell or a finite --theta, checked before any path is stepped."""
+    """--ell other than NaN or a finite --theta, checked before any path is stepped."""
     if args.ell is None and args.theta is None:
         raise ValueError(usage)
     if args.ell is None and not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
+    if args.ell is not None and math.isnan(args.ell):
+        raise ValueError("target is NaN")
 
 
 def cmd_simulate(args) -> int:
@@ -365,9 +368,9 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
             }
         )
 
-    # one direct sample serves the Chebyshev and the agreement checks
+    # one direct sample, on its own substream, serves the Chebyshev and agreement checks
     if side is Side.UPSIDE or tilt is not None:
-        sample = mc.simulate_paths(model, policy, cfg)
+        sample = mc.simulate_paths(model, policy, cfg, substream=len(horizons))
     if side is Side.UPSIDE:
         theta_cheb = tilt if tilt is not None else 0.0
         checks.append(
@@ -380,7 +383,7 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
     if tilt is not None:
         direct = mc.estimate_prob(sample, ell, side)
         if direct.estimate >= 0.05:
-            tilted = mc.tilted_estimate_prob(model, policy, tilt, ell, side, cfg)
+            tilted = next(r.result for r in fit.rows if r.horizon == cfg.horizon)
             combined = math.hypot(direct.std_error, tilted.std_error)
             checks.append(
                 {

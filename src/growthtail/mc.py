@@ -37,10 +37,9 @@ All noise comes from counter-based Philox streams keyed by
 step's draw, so a run is bit-identical for a fixed seed, substream,
 path count and step grid.  In a run of 2**20 or more normals a one-thread
 pool draws and scales the increments one handoff of steps ahead while the
-caller advances the previous ones, and is joined on every exit, an error
-included; a shorter run draws them in line.  The stream and the draw of
-every step are the same either way, so the prefetch changes no realised
-number.
+caller advances the previous ones, and is joined on every exit; a shorter
+run draws them in line.  The stream and the draw of every step are the
+same either way, so the prefetch changes no realised number.
 """
 
 from __future__ import annotations
@@ -213,9 +212,7 @@ def _run_paths(
     d, m, q = arrays.dims
     n = cfg.n_paths
     steps = cfg.steps()
-    L = np.zeros(n)
-    Y = np.zeros((n, m))
-    logw = np.zeros(n)
+    L, Y, logw = np.zeros(n), np.zeros((n, m)), np.zeros(n)
     if theta_tilt is not None:
         C, D = CD
     # A long run's noise comes in handoffs of consecutive steps, each holding

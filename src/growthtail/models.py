@@ -416,12 +416,15 @@ def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
     # 1 + t1*rho^2 written as (1 - theta(1-rho^2))/(1-theta): the naive form
     # cancels catastrophically for deep negative tilts
     w = 1.0 - theta * (1.0 - model.rho**2)
-    return (
+    value = (
         0.5 * g**2 * c
         + 0.5 * g**2 * d**2 * w / (1.0 - theta)
         + t1 * (model.B0 / s) * model.rho * g * d
         + 0.5 * t1 * model.B0**2 / s**2
     )
+    if not math.isfinite(value):  # C and D overflow at tilts far below -1e150
+        raise OverflowError(f"Gamma({theta}) overflows the closed form")
+    return value
 
 
 def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:

@@ -145,9 +145,10 @@ def _eig_max_real(A: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def _newton(coef, C0: np.ndarray, theta: float) -> np.ndarray:
+def _newton(coef, C0: np.ndarray, theta: float) -> tuple[np.ndarray, float, float]:
     """Newton iteration from C0 at one tilt; raises NoStabilizingSolution on failure.
 
+    Returns (C, residual norm, largest real part of the closed-loop eigenvalues).
     Takes one step at least and iterates while each step cuts the residual by
     10% or more, polishing well below the failure threshold because the curve
     value near the domain boundary amplifies residual error through the nearly
@@ -187,21 +188,22 @@ def _newton(coef, C0: np.ndarray, theta: float) -> np.ndarray:
             f"Newton did not reach residual {_NEWTON_TOL} "
             f"at theta={theta} (best {best_res:.3e})"
         )
-    if not _eig_max_real(Kt + M @ best_C) <= _HURWITZ_MARGIN:
+    eig = _eig_max_real(Kt + M @ best_C)
+    if not eig <= _HURWITZ_MARGIN:
         raise NoStabilizingSolution(f"converged root is not stabilizing at theta={theta}")
-    return best_C
+    return best_C, best_res, eig
 
 
-def _solve_C(coef, theta: float) -> np.ndarray:
+def _solve_C(coef, theta: float) -> tuple[np.ndarray, float, float]:
     """Stabilizing C(theta) from the Hamiltonian's stable invariant subspace (Laub 1979).
 
     The eigenvectors [X1; X2] of H = [[Kt, M], [-2N, -Kt']] for its m eigenvalues
-    of smallest real part give C = X2 X1^-1, which one Newton solve then polishes.
+    of smallest real part give C = X2 X1^-1, which one Newton solve polishes and certifies.
     """
     M, Kt, N, _, _ = coef
     m = Kt.shape[0]
     if theta == 0.0:
-        return np.zeros((m, m))
+        return np.zeros((m, m)), 0.0, _eig_max_real(Kt)
     w, V = np.linalg.eig(np.block([[Kt, M], [-2.0 * N, -Kt.T]]))
     X = V[:, np.argsort(w.real)[:m]]
     try:
@@ -234,18 +236,12 @@ def solve_care(model: LinearFactorMD, theta: float) -> QuadraticValue:
     domain boundary surfaces as NoStabilizingSolution.
     """
     M, Kt, _, Sinv, t1 = coef = _coefficients(model, theta)
-    C = _solve_C(coef, theta)
-    res = _residual(C, coef)[1]
+    C, res, eig = _solve_C(coef, theta)
     if not res <= _RESIDUAL_CERT:
-        raise NoStabilizingSolution(
-            f"residual certificate failed at theta={theta}: {res:.3e}"
-        )
-    A_cl = Kt + M @ C
-    eig = _eig_max_real(A_cl)
+        raise NoStabilizingSolution(f"residual certificate failed at theta={theta}: {res:.3e}")
     if not eig <= _HURWITZ_MARGIN:
-        raise NoStabilizingSolution(
-            f"closed-loop drift not Hurwitz at theta={theta}"
-        )
+        raise NoStabilizingSolution(f"closed-loop drift not Hurwitz at theta={theta}")
+    A_cl = Kt + M @ C
     rhs = -t1 * (model.sigma @ model.gamma.T @ C + model.B1).T @ Sinv @ model.B0
     try:
         D = np.linalg.solve(A_cl.T, rhs)

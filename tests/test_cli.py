@@ -1,5 +1,6 @@
 """End-to-end command-line tests: tables, serialization, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthtail import cli, mc, models, riccati
 from growthtail.cli import main
@@ -338,6 +341,34 @@ class TestVerify:
         assert {"empirical_chebyshev", "tilted_vs_direct_agreement"} <= names
         assert len(calls) == 1 and calls[0].horizon == 8.0
 
+    def test_agreement_check_reads_the_fit_row_at_the_horizon(
+        self, model_file, capsys, monkeypatch
+    ):
+        # one tilted run per fit horizon, and a direct sample on a substream of its own
+        substreams = {"tilted_estimate_prob": [], "simulate_paths": []}
+        for name, seen in substreams.items():
+            original = getattr(mc, name)
+
+            def recording(*args, _seen=seen, _original=original, **kwargs):
+                _seen.append(kwargs.get("substream", 0))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mc, name, recording)
+        code, payload = run_json(
+            capsys,
+            [
+                "verify", "--model", model_file(BS), "--side", "up", "--ell", "0.245",
+                "--tilt", "auto", "--paths", "2000", "--horizon", "8", "--dt", "0.1",
+                "--seed", "11",
+            ],
+        )
+        assert code in (0, 1)
+        rows = {c["name"]: c for c in payload["rows"]}
+        tilted, direct = substreams["tilted_estimate_prob"], substreams["simulate_paths"]
+        assert len(tilted) == 3 and len(direct) == 1 and direct[0] not in tilted
+        estimates = rows["per_horizon_vs_gaussian_oracle"]["estimates"]
+        assert rows["tilted_vs_direct_agreement"]["tilted"] == estimates[-1]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -563,3 +594,119 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+
+# each flag is drawn from ordinary values seven times in eight and otherwise
+# from malformed ones (nan, +-inf, zero, negatives, text); the ordinary
+# horizons and steps keep every accepted run at 1000 steps or fewer
+TARGETS = (["0.05", "0.2", "0.245", "0.5", "1", "-0.3"],
+           ["nan", "inf", "-inf", "0", "1e300", "-1e300", "x"])
+TILTS = (["-1", "-0.3", "0.2", "0.5", "0.99"], ["nan", "inf", "-inf", "0", "1", "3", "-1e300", "x"])
+FRACTIONS = (["0.5", "2.5", "-1"], ["nan", "inf", "-inf", "0", "x"])
+GRID_BOUNDS = (["-2", "-0.5", "0", "0.1", "0.3", "0.7", "1"],
+               ["nan", "inf", "-inf", "1e300", "-1e300", "x"])
+GRID_SIZES = (["1", "3", "7", "50"], ["0", "-1", "x"])
+HORIZONS = (["0.5", "1", "2.5"], ["nan", "inf", "-1", "0"])
+STEPS = (["0.01", "0.1", "0.5"], ["nan", "inf", "-0.1", "0", "3"])
+PATHS = (["2", "50", "500"], ["x", "nan", "-5", "0", "1"])
+SEEDS = (["0", "7", str(2**70)], ["-1", "x"])
+MODES = (["auto", "0", "-0.5", "0.3"], ["nan", "inf", "-inf", "x"])
+HORIZON_GRIDS = (["0.5:2:3", "1:2.5:4"], ["1:1:3", "0:2:3", "-1:2:3", "1:nan:3", "2:0.5:3"])
+SCALAR_RECORDS = {"bs": BS, "ou": PR, "factor": LG, "factor-rho05": LG05}
+MATRIX_RECORDS = {"matrix-m1": MD1, "matrix-m2": MD2}
+BAD_RECORDS = {
+    "nan-field": {"b": math.nan, "sigma": 0.2},
+    "inf-field": {**LG, "B1": math.inf},
+    "string-field": {"K": -0.5, "sigma_norm": "0.2"},
+    "missing-field": {k: v for k, v in LG.items() if k != "rho"},
+    "out-of-range": {**LG, "rho": 2.0},
+    "bad-shape": {**MD1, "B1": [[1.0, 2.0]]},
+    "matrix-nan": {**MD2, "gamma": [[math.nan] * 4, [0.0, 0.01, 0.0, 0.7]]},
+    "not-an-object": [0.1, 0.2],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_models")
+    paths = {"missing-file": str(root / "missing.json")}
+    for name, record in {**SCALAR_RECORDS, **MATRIX_RECORDS, **BAD_RECORDS}.items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(record))
+    (root / "not-json.json").write_text("{b: 0.1")
+    paths["not-json"] = str(root / "not-json.json")
+    return paths
+
+
+def _pick(draw, values: tuple) -> str:
+    good, bad = values
+    return draw(st.sampled_from(good if draw(st.integers(0, 7)) else bad))
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv of one command, with the model given by its name in ``fuzz_models``."""
+    command = draw(st.sampled_from(["dual", "frontier", "riccati", "simulate", "verify"]))
+    fit = MATRIX_RECORDS if command == "riccati" else SCALAR_RECORDS
+    misfit = [*BAD_RECORDS, "missing-file", "not-json",
+              *(SCALAR_RECORDS if command == "riccati" else MATRIX_RECORDS)]
+    argv = [command, "--model", _pick(draw, (sorted(fit), misfit)),
+            "--side", draw(st.sampled_from(["up", "down"]))]
+    grid = ":".join([_pick(draw, GRID_BOUNDS), _pick(draw, GRID_BOUNDS), _pick(draw, GRID_SIZES)])
+    if command in ("dual", "riccati"):
+        return argv + [f"--grid={grid}"]
+    if command == "frontier":
+        return argv + [f"--ell={_pick(draw, TARGETS)}" if draw(st.booleans()) else f"--grid={grid}"]
+    argv += [f"--paths={_pick(draw, PATHS)}", f"--horizon={_pick(draw, HORIZONS)}",
+             f"--dt={_pick(draw, STEPS)}", f"--seed={_pick(draw, SEEDS)}",
+             f"--tilt={_pick(draw, MODES)}"]
+    target = draw(st.sampled_from(["--ell", "--ell", "--theta", "--theta", None]))
+    if target is not None:
+        argv.append(f"{target}={_pick(draw, TARGETS if target == '--ell' else TILTS)}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--pi={_pick(draw, FRACTIONS)}")
+    if command == "verify" and draw(st.booleans()):
+        argv.append(f"--grid={_pick(draw, HORIZON_GRIDS)}")
+    return argv
+
+
+def _has_nan(value) -> bool:
+    if isinstance(value, dict):
+        return any(_has_nan(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_has_nan(v) for v in value)
+    return value == "nan" or (isinstance(value, float) and math.isnan(value))
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_input_ends_in_a_known_exit_code(self, fuzz_models, data):
+        argv = data.draw(cli_argvs(), label="argv")
+        argv[2] = fuzz_models[argv[2]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--format", "json"])
+            except SystemExit as exc:  # argparse rejects a malformed flag
+                code = exc.code
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code in (0, 1):
+            for row in json.loads(out.getvalue())["rows"]:
+                assert row.get("error") or not _has_nan(row), row
+
+    def test_nan_target_with_fixed_policy(self, model_file, capsys):
+        # no rate is computed for --tilt 0 with --pi, so the target is checked on its own
+        code = main(["simulate", "--model", model_file(BS), "--ell", "nan", "--tilt", "0",
+                     "--pi", "1", "--paths", "50", "--horizon", "1", "--dt", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: target is NaN\n"
+
+    @pytest.mark.parametrize("record", [BS, PR, LG], ids=["bs", "ou", "factor"])
+    def test_extreme_downside_tilt(self, model_file, capsys, record):
+        # a finite tilt at which the closed forms overflow: a numerical failure, not a NaN row
+        code = main(["dual", "--model", model_file(record), "--side", "down",
+                     "--grid=-1e300:-1e300:1", "--format", "json"])
+        assert code in (0, 3)
+        if code == 0:
+            assert not _has_nan(json.loads(capsys.readouterr().out)["rows"])

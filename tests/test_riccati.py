@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from growthtail import (
     LinearFactor1D,
     LinearFactorMD,
+    PlatenRebolledo,
     gamma_md,
     lg1d_beta_thetabar,
     lg1d_D,
     lg1d_gamma,
+    lg1d_policy,
     lg1d_riccati_roots,
     policy_md,
     riccati_residual,
@@ -314,15 +316,24 @@ class TestThetaSweep:
             theta_sweep(synthetic_m2(), grid)
 
     def test_each_tilt_built_and_certified_once(self, monkeypatch):
-        counts = dict.fromkeys(
-            ["_coefficients", "_newton", "solve_care", "_eig_max_real", "riccati_residual"], 0
-        )
-        for name in counts:
+        names = ["_coefficients", "_newton", "_solve_C", "solve_care", "_residual",
+                 "_eig_max_real", "riccati_residual"]
+        counts = dict.fromkeys(names, 0)
+        # certificate calls made by solve_care itself, outside the solve of C
+        own = dict.fromkeys(["_residual", "_eig_max_real"], 0)
+        depth = {"solve_care": 0, "_solve_C": 0}
+        for name in names:
             original = getattr(riccati, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
-                return _original(*args, **kwargs)
+                if _name in own and depth["solve_care"] and not depth["_solve_C"]:
+                    own[_name] += 1
+                depth[_name] = depth.get(_name, 0) + 1
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    depth[_name] -= 1
 
             monkeypatch.setattr(riccati, name, counting)
         # negative and positive tilts, zero, and tilts past the domain boundary
@@ -330,8 +341,10 @@ class TestThetaSweep:
         assert any(p.ok for p in sweep.points) and not all(p.ok for p in sweep.points)
         bound = counts["_newton"] + counts["solve_care"]
         assert counts["_coefficients"] <= bound
-        assert counts["_eig_max_real"] <= bound
+        assert counts["_eig_max_real"] <= counts["_solve_C"] == counts["solve_care"]
         assert counts["riccati_residual"] == 0
+        assert own == {"_residual": 0, "_eig_max_real": 0}
+        assert counts["_residual"] > 0
 
     def test_each_tilt_one_newton_call(self, monkeypatch):
         calls = []
@@ -372,7 +385,38 @@ class TestThetaSweep:
             assert p.gamma == gamma_md(model, p.theta, p.quad)
 
 
+def assert_lifted_policy_matches(model: LinearFactor1D, data) -> None:
+    """policy_md of the m = 1 lift of model.market() equals the scalar lg1d_policy."""
+    _, theta_bar = lg1d_beta_thetabar(model)
+    theta = data.draw(st.floats(-3.0, 0.99 * theta_bar), label="theta")
+    market = model.market()
+    lift = LinearFactorMD(market.K, market.B1, market.B0, market.sigma, market.gamma)
+    got = policy_md(lift, theta, solve_care(lift, theta))
+    want = lg1d_policy(model, theta)
+    for x, y in ((got.gain[0, 0], want.gain), (got.intercept[0], want.intercept)):
+        assert abs(x - y) <= 1e-8 * max(1.0, abs(y))
+
+
 class TestPolicyMD:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        K=st.floats(-3.0, -0.1),
+        B1=st.floats(-2.0, 2.0),
+        B0=st.floats(0.1, 2.0),
+        s=st.floats(0.1, 2.0),
+        g=st.floats(0.1, 2.0),
+        rho=st.floats(-1.0, 1.0),
+        data=st.data(),
+    )
+    def test_scalar_policy_matches_embedding_property(self, K, B1, B0, s, g, rho, data):
+        # the acceptance suite's random factor models, tilts up to 0.99 theta_bar
+        assert_lifted_policy_matches(scalar_twin(K, B1, B0, s, g, rho), data)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(K=st.floats(-3.0, -0.1), s=st.floats(0.1, 2.0), data=st.data())
+    def test_ou_log_price_policy_matches_embedding_property(self, K, s, data):
+        assert_lifted_policy_matches(PlatenRebolledo(K=K, sigma_norm=s), data)
+
     def test_merton_limit(self):
         model = synthetic_m2()
         qv = solve_care(model, 0.0)
