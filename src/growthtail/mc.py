@@ -225,7 +225,7 @@ def _run_paths(
     block = np.empty((len(spans[-1]), n, q))
     fill = partial(_fill, cfg.seed, substream, steps)
     pool = None
-    if len(spans) > 1 and ahead:
+    if ahead and len(spans) > 1:
         # here, not at the top: it adds about 7 ms to every start-up
         from concurrent.futures import ThreadPoolExecutor
 
