@@ -436,12 +436,18 @@ def cmd_verify(args) -> int:
     side = _side(args.side)
     _require_target(args, "verify needs --ell or --theta")
     checks: list[dict] = []
-    if args.ell is not None:
-        _verify_ell(model, side, args, checks)
-    else:
-        _verify_theta(model, side, args, checks)
+    with mc.counting() as stats:
+        if args.ell is not None:
+            _verify_ell(model, side, args, checks)
+        else:
+            _verify_theta(model, side, args, checks)
     passed = all(c["passed"] for c in checks)
-    payload = {"command": "verify", "passed": passed, "rows": checks}
+    payload = {
+        "command": "verify",
+        "passed": passed,
+        "rows": checks,
+        "diagnostics": {"path_steps": stats.path_steps, "sim_runs": stats.sim_runs},
+    }
     _write_output(payload, ["name", "passed"], args.format, args.out)
     return 0 if passed else 1
 

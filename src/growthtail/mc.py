@@ -12,7 +12,12 @@ enters only through ``model.market()``, its canonical record
 ``(K, B1, B0, sigma, gamma)``, and ``model.quadratic_pair(theta)``, the
 ``(C, D)`` pair that shapes the tilted shift.  The Black-Scholes case is
 the empty-factor record (m = 0) and its log-wealth scheme is exact in
-distribution at any step size.
+distribution at any step size.  With no factor the policy, drift and
+shift terms are the same at every step, so the stepper computes them once,
+by the same expressions on the same values, and a run's numbers are those
+of the per-step computation.  A state that overflows or turns NaN ends the
+run in ``NumericalBlowup`` from the stepper's periodic finiteness check,
+without a numpy warning first.
 
 Estimators
 ----------
@@ -39,21 +44,27 @@ path count and step grid.  In a run of 2**20 or more normals a one-thread
 pool draws and scales the increments one handoff of steps ahead while the
 caller advances the previous ones, and is joined on every exit; a shorter
 run draws them in line.  The stream and the draw of every step are the
-same either way, so the prefetch changes no realised number.
+same either way, so the prefetch changes no realised number.  A run to
+T/4 takes the first steps of a run to T on the same grid, so a decay-rate
+fit reads every such horizon from one run's state where the horizon ends:
+each row is bit-identical to a run of its own on substream 0, and the
+rows are correlated.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .duality import Side
-from .errors import NumericalBlowup, WeightDegeneracy
+from .errors import DomainError, NumericalBlowup, WeightDegeneracy
 from .models import FactorMarket, FeedbackPolicy
 
 __all__ = [
@@ -62,6 +73,8 @@ __all__ = [
     "SimResult",
     "RateFitRow",
     "RateFitResult",
+    "RunStats",
+    "counting",
     "simulate_paths",
     "estimate_prob",
     "estimate_log_laplace",
@@ -122,11 +135,16 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathSample:
-    """Terminal samples (L_T, Y_T) of one simulation run."""
+    """Terminal samples (L_T, Y_T) of one simulation run.
+
+    ``earlier`` holds the samples the same run passed through at shorter
+    horizons, when ``simulate_paths`` was asked for them.
+    """
 
     L: np.ndarray
     Y: np.ndarray
     horizon: float
+    earlier: tuple = ()
 
     @property
     def n_paths(self) -> int:
@@ -142,6 +160,28 @@ class SimResult:
     n_paths: int
     log_estimate: Optional[float] = None
     extras: dict = field(default_factory=dict)
+
+
+@dataclass
+class RunStats:
+    """Simulation work done while a ``counting()`` block was open."""
+
+    sim_runs: int = 0
+    path_steps: int = 0
+
+
+_run_stats: ContextVar[Optional[RunStats]] = ContextVar("growthtail_mc_run_stats", default=None)
+
+
+@contextmanager
+def counting() -> Iterator[RunStats]:
+    """Count the runs and path-steps simulated in the block (on this thread or task)."""
+    stats = RunStats()
+    token = _run_stats.set(stats)
+    try:
+        yield stats
+    finally:
+        _run_stats.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +248,21 @@ def _run_paths(
     theta_tilt: Optional[float] = None,
     CD=None,
     substream: int = 0,
+    marks: Collection[int] = (),
+    on_mark: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ):
+    """Step every path to cfg.horizon; returns the terminal (L, Y, logw).
+
+    After each step count k in ``marks`` the state is checked for
+    non-finite values and handed to ``on_mark(k, L, Y, logw)``; later
+    steps update those arrays in place.
+    """
     d, m, q = arrays.dims
     n = cfg.n_paths
     steps = cfg.steps()
     L, Y, logw = np.zeros(n), np.zeros((n, m)), np.zeros(n)
-    if theta_tilt is not None:
+    tilted = theta_tilt is not None
+    if tilted:
         C, D = CD
     # A long run's noise comes in handoffs of consecutive steps, each holding
     # at least _HANDOFF_NORMALS normals.  This thread draws the first one; a
@@ -232,49 +281,114 @@ def _run_paths(
         pool = ThreadPoolExecutor(1, initializer=_leave_cpu, initargs=(_current_cpu(),))
         spare = np.empty_like(block)
         pending = pool.submit(fill, spans[1], spare)
+    marks = frozenset(marks)
+    # n-sized scratch reused by every step: the same operations in the same
+    # order as fresh temporaries, without an allocation per step
+    dot, scaled = np.empty(n), np.empty(n)
     try:
-        fill(spans[0], block)
-        j = 0
-        t = 0.0
-        for k, h in enumerate(steps):
-            pi = Y @ gain.T + intercept                       # (n, d)
-            A = pi @ arrays.sigma                             # (n, q), rows sigma'pi
-            drift_b = Y @ arrays.B1.T + arrays.B0             # (n, d)
-            pi_b = np.einsum("ij,ij->i", pi, drift_b)
-            quad = np.einsum("ij,ij->i", A, A)                # pi' ss' pi
-            if k == spans[j].stop:
-                j += 1
-                if pool is None:
-                    fill(spans[j], block)
-                else:
-                    pending.result()  # re-raises the draw's own exception
-                    block, spare = spare, block
-                    if j + 1 < len(spans):
-                        pending = pool.submit(fill, spans[j + 1], spare)
-            dW = block[k - spans[j].start]                    # sqrt(h) * N(0, 1)
-            if theta_tilt is not None:
-                H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
-                logw -= np.einsum("ij,ij->i", H, dW) + 0.5 * np.einsum("ij,ij->i", H, H) * h
-                dW = dW + H * h
-            L += (pi_b - 0.5 * quad) * h + np.einsum("ij,ij->i", A, dW)
-            if m:
-                Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
-            t += h
-            if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 == len(steps):
-                bad = ~np.isfinite(L)
-                if m:
-                    bad |= ~np.isfinite(Y).all(axis=1)
-                if bad.any():
-                    idx = int(np.argmax(bad))
-                    raise NumericalBlowup(
-                        f"non-finite state on path {idx} near t={t:.6g}",
-                        path_index=idx,
-                        time=t,
+        # a blow-up is reported by the finiteness check, not by a numpy warning first
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(spans[0], block)
+            j = 0
+            t = 0.0
+            for k, h in enumerate(steps):
+                # with no factor (m = 0) these terms are the same at every step
+                if m or k == 0:
+                    pi = Y @ gain.T + intercept                   # (n, d)
+                    A = pi @ arrays.sigma                         # (n, q), rows sigma'pi
+                    drift = (                                     # pi'b - pi'ss'pi / 2
+                        np.einsum("ij,ij->i", pi, Y @ arrays.B1.T + arrays.B0)
+                        - 0.5 * np.einsum("ij,ij->i", A, A)
                     )
+                    if tilted:
+                        H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
+                        half_HH = 0.5 * np.einsum("ij,ij->i", H, H)
+                    del pi  # with m = 0 it would stay allocated for the whole run
+                if k == spans[j].stop:
+                    j += 1
+                    if pool is None:
+                        fill(spans[j], block)
+                    else:
+                        pending.result()  # re-raises the draw's own exception
+                        block, spare = spare, block
+                        if j + 1 < len(spans):
+                            pending = pool.submit(fill, spans[j + 1], spare)
+                dW = block[k - spans[j].start]                    # sqrt(h) * N(0, 1)
+                if tilted:
+                    # logw -= H'dW + |H|^2 h / 2, then dW += H h (this step's row only)
+                    np.einsum("ij,ij->i", H, dW, out=dot)
+                    dot += np.multiply(half_HH, h, out=scaled)
+                    logw -= dot
+                    dW += H * h
+                # L += (pi'b - pi'ss'pi / 2) h + A'dW
+                np.multiply(drift, h, out=scaled)
+                scaled += np.einsum("ij,ij->i", A, dW, out=dot)
+                L += scaled
+                if m:
+                    Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
+                t += h
+                if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 in marks or k + 1 == len(steps):
+                    bad = ~np.isfinite(L)
+                    if m:
+                        bad |= ~np.isfinite(Y).all(axis=1)
+                    if tilted:
+                        bad |= ~np.isfinite(logw)
+                    if bad.any():
+                        idx = int(np.argmax(bad))
+                        raise NumericalBlowup(
+                            f"non-finite state on path {idx} near t={t:.6g}",
+                            path_index=idx,
+                            time=t,
+                        )
+                if k + 1 in marks:
+                    on_mark(k + 1, L, Y, logw)
     finally:
         if pool is not None:
             pool.shutdown()
+    stats = _run_stats.get()
+    if stats is not None:
+        stats.sim_runs += 1
+        stats.path_steps += n * len(steps)
     return L, Y, logw
+
+
+def _end_step(cfg: SimConfig, horizon: float) -> Optional[int]:
+    """Step count at which a run on cfg reaches ``horizon``, None if it passes it by.
+
+    A run to ``horizon`` on cfg's step size must take the first steps of
+    cfg's run exactly; then it reads the same noise and its state equals
+    cfg's run's after that many steps.
+    """
+    steps = replace(cfg, horizon=horizon).steps()
+    return len(steps) if steps == cfg.steps()[: len(steps)] else None
+
+
+def _marked_run(model, policy, cfg, substream, horizons, read, theta_tilt=None, CD=None):
+    """One run to cfg.horizon; returns its terminal (L, Y, logw) and a reading at each horizon.
+
+    ``read(L, Y, logw, T)`` sees the live state where horizon T ends; the
+    run goes on to update those arrays in place, so ``read`` copies what
+    it keeps.
+    """
+    arrays = model.market()
+    d, m, _ = arrays.dims
+    gain, intercept = policy.as_arrays(d, m)
+    ends = [_end_step(cfg, T) for T in horizons]
+    if None in ends:
+        T = horizons[ends.index(None)]
+        raise ValueError(f"horizon {T} does not end on the step grid of a run to {cfg.horizon}")
+    readings = {}
+
+    def on_mark(k, L, Y, logw):
+        for i, end in enumerate(ends):
+            if end == k:
+                readings[i] = read(L, Y, logw, horizons[i])
+
+    final = _run_paths(
+        arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream,
+        marks=ends, on_mark=on_mark,
+    )
+    return final, [readings[i] for i in range(len(ends))]
 
 
 def simulate_paths(
@@ -282,17 +396,21 @@ def simulate_paths(
     policy: FeedbackPolicy,
     cfg: SimConfig,
     substream: int = 0,
+    horizons: Sequence[float] = (),
 ) -> PathSample:
     """Terminal samples of (L_T, Y_T) under the model's own dynamics.
 
     Deterministic given (model, policy, cfg): noise is read from
-    counter-based per-step substreams.
+    counter-based per-step substreams.  ``horizons`` (each ending on the
+    step grid of cfg's run) adds the run's samples at those horizons as
+    ``earlier``; each equals a run of its own to that horizon.
     """
-    arrays = model.market()
-    d, m, _ = arrays.dims
-    gain, intercept = policy.as_arrays(d, m)
-    L, Y, _ = _run_paths(arrays, gain, intercept, cfg, substream=substream)
-    return PathSample(L=L, Y=Y, horizon=cfg.horizon)
+
+    def keep(L, Y, logw, T):
+        return PathSample(L=L.copy(), Y=Y.copy(), horizon=float(T))
+
+    (L, Y, _), earlier = _marked_run(model, policy, cfg, substream, horizons, keep)
+    return PathSample(L=L, Y=Y, horizon=cfg.horizon, earlier=tuple(earlier))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +418,11 @@ def simulate_paths(
 # ---------------------------------------------------------------------------
 
 
-def _tail_indicator(sample: PathSample, target: float, side: Side) -> np.ndarray:
-    cutoff = float(target) * sample.horizon
+def _tail_indicator(L: np.ndarray, horizon: float, target: float, side: Side) -> np.ndarray:
+    cutoff = float(target) * horizon
     if side is Side.UPSIDE:
-        return sample.L >= cutoff
-    return sample.L <= cutoff
+        return L >= cutoff
+    return L <= cutoff
 
 
 def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
@@ -314,7 +432,7 @@ def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
     raised; the flag suggests rerunning with the tilted estimator at the
     conjugate tilt of the target.
     """
-    ind = _tail_indicator(sample, target, side)
+    ind = _tail_indicator(sample.L, sample.horizon, target, side)
     n = sample.n_paths
     hits = int(ind.sum())
     p = hits / n
@@ -368,6 +486,30 @@ def estimate_log_laplace(sample: PathSample, theta: float) -> SimResult:
     )
 
 
+def _tilted_result(
+    L: np.ndarray, logw: np.ndarray, horizon: float, target: float, side: Side, theta_tilt: float
+) -> SimResult:
+    """Self-normalized tail estimate from the state of a tilted run at ``horizon``."""
+    ind = _tail_indicator(L, horizon, target, side).astype(float)
+    w = np.exp(logw - logw.max())
+    wsum = float(w.sum())
+    p = float(w @ ind) / wsum
+    se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
+    n = L.shape[0]
+    ess = _ess(w)
+    if ess < _ESS_FLOOR * n:
+        raise WeightDegeneracy(
+            f"tilted-weight ESS {ess:.1f} below {_ESS_FLOOR:.0%} of {n} paths"
+        )
+    return SimResult(
+        estimate=p,
+        std_error=se,
+        n_paths=n,
+        log_estimate=math.log(p) if p > 0 else None,
+        extras={"ess": ess, "theta_tilt": theta_tilt},
+    )
+
+
 def tilted_estimate_prob(
     model,
     policy: FeedbackPolicy,
@@ -376,6 +518,7 @@ def tilted_estimate_prob(
     side: Side,
     cfg: SimConfig,
     substream: int = 0,
+    horizons: Sequence[float] = (),
 ) -> SimResult:
     """Tail probability by exponential-tilting importance sampling.
 
@@ -390,7 +533,13 @@ def tilted_estimate_prob(
     cancels the unknown normalizing constant; for Black-Scholes w is
     pathwise proportional to exp(-theta L_T).  Standard error by the
     delta method for ratio estimators.  theta_tilt = 0 reproduces the
-    direct estimator path-for-path.
+    direct estimator path-for-path.  A tilt that is not finite, has the
+    wrong sign for the side, or lies past the model's domain (where the
+    quadratic value does not exist) is a ValueError.
+
+    ``horizons`` (each ending on the step grid of cfg's run) adds the
+    estimates from the same run's state at those horizons as
+    ``extras["earlier"]``; each equals a run of its own to that horizon.
     """
     theta_tilt = float(theta_tilt)
     if not math.isfinite(theta_tilt):
@@ -399,32 +548,23 @@ def tilted_estimate_prob(
         raise ValueError("upside tilting requires theta_tilt >= 0")
     if side is Side.DOWNSIDE and theta_tilt > 0:
         raise ValueError("downside tilting requires theta_tilt <= 0")
-    arrays = model.market()
-    d, m, _ = arrays.dims
-    gain, intercept = policy.as_arrays(d, m)
-    CD = model.quadratic_pair(theta_tilt)
-    L, Y, logw = _run_paths(
-        arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream
+    try:
+        CD = model.quadratic_pair(theta_tilt)
+    except DomainError as exc:
+        raise ValueError(
+            f"theta_tilt={theta_tilt} lies outside the model's domain: {exc}"
+        ) from None
+
+    def estimate(L, Y, logw, T):
+        return _tilted_result(L, logw, float(T), target, side, theta_tilt)
+
+    (L, _, logw), earlier = _marked_run(
+        model, policy, cfg, substream, horizons, estimate, theta_tilt=theta_tilt, CD=CD
     )
-    sample = PathSample(L=L, Y=Y, horizon=cfg.horizon)
-    ind = _tail_indicator(sample, target, side).astype(float)
-    w = np.exp(logw - logw.max())
-    wsum = float(w.sum())
-    p = float(w @ ind) / wsum
-    se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
-    n = cfg.n_paths
-    ess = _ess(w)
-    if ess < _ESS_FLOOR * n:
-        raise WeightDegeneracy(
-            f"tilted-weight ESS {ess:.1f} below {_ESS_FLOOR:.0%} of {n} paths"
-        )
-    return SimResult(
-        estimate=p,
-        std_error=se,
-        n_paths=n,
-        log_estimate=math.log(p) if p > 0 else None,
-        extras={"ess": ess, "theta_tilt": theta_tilt},
-    )
+    res = estimate(L, None, logw, cfg.horizon)
+    if earlier:
+        res.extras["earlier"] = tuple(earlier)
+    return res
 
 
 @dataclass(frozen=True)
@@ -453,25 +593,40 @@ def rate_fit(
 ) -> RateFitResult:
     """Estimate the exponential decay rate of the tail probability in T.
 
-    Runs one estimate per horizon (independent substreams) and fits
-    log P(T) ~ intercept + slope * T by least squares.  When
-    ``theta_tilt`` is given the tilted estimator is used throughout --
-    small probabilities at the longer horizons would otherwise return
-    zero hits.
+    Makes one run to the longest horizon on substream 0 and reads every
+    horizon whose steps begin that run's from its state there, so each row
+    equals a run of its own to its horizon on substream 0, bit for bit, and
+    the rows are correlated.  A horizon off that step grid (say 1.05 with
+    dt 0.1 beside 4) gets a run of its own on substream k, its index in
+    ``horizons``.  Fits log P(T) ~ intercept + slope * T by least squares.
+    When ``theta_tilt`` is given the tilted estimator is used throughout --
+    small probabilities at the longer horizons would otherwise return zero
+    hits.
     """
     if len(set(map(float, horizons))) < 3:
         raise ValueError("need at least 3 distinct horizons for a decay-rate fit")
-    rows = []
-    for k, T in enumerate(horizons):
-        cfg_T = replace(cfg, horizon=float(T))
+    cfgs = [replace(cfg, horizon=float(T)) for T in horizons]
+    longest = max(cfgs, key=lambda c: c.horizon)
+    shared = sorted({
+        c.horizon for c in cfgs
+        if c.horizon < longest.horizon and _end_step(longest, c.horizon) is not None
+    })
+
+    def estimates(cfg_T, substream=0, horizons=()) -> list:
+        """Estimates at each of ``horizons`` and at cfg_T's own, from one run."""
         if theta_tilt is not None:
             res = tilted_estimate_prob(
-                model, policy, theta_tilt, target, side, cfg_T, substream=k
+                model, policy, theta_tilt, target, side, cfg_T, substream, horizons
             )
-        else:
-            sample = simulate_paths(model, policy, cfg_T, substream=k)
-            res = estimate_prob(sample, target, side)
-        rows.append(RateFitRow(horizon=float(T), result=res))
+            return [*res.extras.get("earlier", ()), res]
+        sample = simulate_paths(model, policy, cfg_T, substream, horizons)
+        return [estimate_prob(s, target, side) for s in (*sample.earlier, sample)]
+
+    found = dict(zip([*shared, longest.horizon], estimates(longest, horizons=shared)))
+    rows = [
+        RateFitRow(c.horizon, found[c.horizon] if c.horizon in found else estimates(c, k)[-1])
+        for k, c in enumerate(cfgs)
+    ]
     pts = [(T, lp) for T, lp in ((r.horizon, r.result.log_estimate) for r in rows) if lp is not None]
     if len(pts) < 2:
         raise WeightDegeneracy(

@@ -137,7 +137,8 @@ class BlackScholesModel:
         )
 
     def quadratic_pair(self, theta: float):
-        """(C, D) of the quadratic value: empty, there is no factor."""
+        """(C, D) of the quadratic value: empty, there is no factor; theta must lie below 1."""
+        _check_tilt(theta)
         return np.zeros((0, 0)), np.zeros(0)
 
 

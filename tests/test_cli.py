@@ -344,16 +344,17 @@ class TestVerify:
     def test_agreement_check_reads_the_fit_row_at_the_horizon(
         self, model_file, capsys, monkeypatch
     ):
-        # one tilted run per fit horizon, and a direct sample on a substream of its own
-        substreams = {"tilted_estimate_prob": [], "simulate_paths": []}
-        for name, seen in substreams.items():
-            original = getattr(mc, name)
+        # one tilted run serves every fit horizon, and a direct sample runs on
+        # a substream of its own that no fit row reads
+        runs = []
+        original = mc._run_paths
 
-            def recording(*args, _seen=seen, _original=original, **kwargs):
-                _seen.append(kwargs.get("substream", 0))
-                return _original(*args, **kwargs)
+        def recording(*args, **kwargs):
+            tilted = kwargs.get("theta_tilt") is not None
+            runs.append((tilted, kwargs.get("substream", 0), args[3].horizon))
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(mc, name, recording)
+        monkeypatch.setattr(mc, "_run_paths", recording)
         code, payload = run_json(
             capsys,
             [
@@ -363,11 +364,27 @@ class TestVerify:
             ],
         )
         assert code in (0, 1)
+        assert sorted(runs) == [(False, 3, 8.0), (True, 0, 8.0)]
         rows = {c["name"]: c for c in payload["rows"]}
-        tilted, direct = substreams["tilted_estimate_prob"], substreams["simulate_paths"]
-        assert len(tilted) == 3 and len(direct) == 1 and direct[0] not in tilted
         estimates = rows["per_horizon_vs_gaussian_oracle"]["estimates"]
+        assert len(estimates) == 3
         assert rows["tilted_vs_direct_agreement"]["tilted"] == estimates[-1]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_diagnostics_count_the_simulated_work(self, model_file, capsys, fmt):
+        # the fit's one run to T and the direct sample at T: n * (T + T) / dt path-steps
+        argv = ["verify", "--model", model_file(BS), "--side", "up", "--ell", "0.245",
+                "--tilt", "auto", "--paths", "2000", "--horizon", "8", "--dt", "0.1",
+                "--seed", "11"]
+        if fmt == "json":
+            code, payload = run_json(capsys, argv)
+            diag = payload["diagnostics"]
+        else:
+            code, _, out = run_csv(capsys, argv)
+            diag = dict(ln[2:].split("=", 1) for ln in out.splitlines() if ln.startswith("# "))
+        assert code in (0, 1)
+        assert int(diag["path_steps"]) == 2000 * (8 + 8) * 10
+        assert int(diag["sim_runs"]) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -524,6 +541,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert "theta_tilt must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "record, ell, tilt", [(LG05, "0.5", "0.5"), (BS, "0.6", "1.5")], ids=["factor", "bs"]
+    )
+    def test_tilt_past_domain_boundary(self, model_file, capsys, monkeypatch, command, record, ell,
+                                       tilt):
+        # theta_bar is about 0.403 for the factor model and 1 for BS
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped before the tilt was checked")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main([command, "--model", model_file(record), "--ell", ell, "--tilt", tilt,
+                     "--paths", "100", "--horizon", "4", "--dt", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: theta_tilt={tilt} lies outside the model's domain")
+
+    def test_blowup_without_numpy_warnings(self, model_file, capsys):
+        # sigma'pi overflows at the first step; only the finiteness check reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--model", model_file({"b": 1e-300, "sigma": 1e300}),
+                         "--side", "down", "--ell", "0.125", "--tilt=-0.5", "--pi", "1e10",
+                         "--paths", "100", "--horizon", "1", "--dt", "0.1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: NumericalBlowup")
 
     @pytest.mark.parametrize(
         "extra, message",

@@ -6,11 +6,13 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from growthtail import (
+    FactorMarket,
     FeedbackPolicy,
     LinearFactor1D,
     Side,
@@ -20,8 +22,10 @@ from growthtail import (
     estimate_prob,
     lg1d_policy,
     policy_at_tilt,
+    policy_for_target,
     pr_tilt,
     rate_fit,
+    rate_for_target,
     simulate_paths,
     tilted_estimate_prob,
 )
@@ -35,12 +39,40 @@ def const_policy(pi: float) -> FeedbackPolicy:
     return FeedbackPolicy(gain=0.0, intercept=pi)
 
 
+class TwoAssetsNoFactor:
+    """Two assets on two correlated drivers and no factor (m = 0, d = q = 2)."""
+
+    def market(self) -> FactorMarket:
+        sigma = [[0.2, 0.05], [0.0, 0.3]]
+        return FactorMarket(np.zeros((0, 0)), np.zeros((2, 0)), [0.1, 0.05], sigma, np.zeros((0, 2)))
+
+    def quadratic_pair(self, theta: float):
+        return np.zeros((0, 0)), np.zeros(0)
+
+
+PREFETCH_POLICIES = {
+    "bs": const_policy(2.5),
+    "pr": FeedbackPolicy(gain=-4.0, intercept=0.5),
+    "flat2": FeedbackPolicy(gain=np.zeros((2, 0)), intercept=[1.5, -0.5]),
+}
+
+
+@pytest.fixture
+def flat2():
+    return TwoAssetsNoFactor()
+
+
 def digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
 def hexes(values) -> list:
     return [float(x).hex() for x in np.ravel(values)]
+
+
+def result_hexes(res, key: str) -> list:
+    """The estimate, its standard error and ``extras[key]`` to the bit."""
+    return hexes([res.estimate, res.std_error, res.extras[key]])
 
 
 def inline_run_paths(model, policy, cfg, theta_tilt=None, substream=0):
@@ -207,10 +239,11 @@ class TestDeterminism:
             (70000, 1.55, 0.1, -0.5),
         ],
     )
-    @pytest.mark.parametrize("model", ["bs", "pr"])
+    @pytest.mark.parametrize("model", ["bs", "pr", "flat2"])
     def test_prefetch_matches_inline_draw(self, request, model, n_paths, horizon, dt, tilt):
+        # flat2 has no factor, so the stepper computes its policy terms once
         m = request.getfixturevalue(model)
-        pol = FeedbackPolicy(gain=-4.0, intercept=0.5) if model == "pr" else const_policy(2.5)
+        pol = PREFETCH_POLICIES[model]
         cfg = SimConfig(horizon=horizon, dt=dt, n_paths=n_paths, seed=17)
         got = prefetched_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
         want = inline_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
@@ -506,6 +539,79 @@ class TestRateFit:
         fit = rate_fit(bs, pol, 0.0, Side.UPSIDE, [10.0, 20.0, 30.0], cfg)
         assert fit.slope == 0.0
         assert all(row.result.estimate == 1.0 for row in fit.rows)
+
+    @pytest.mark.parametrize("tilted", [True, False], ids=["tilted", "direct"])
+    @pytest.mark.parametrize(
+        "model, ell, side",
+        [
+            ("bs", 0.245, Side.UPSIDE),
+            ("lg_rho05", 1.0, Side.UPSIDE),
+            ("lg_rho05", 0.2, Side.DOWNSIDE),
+        ],
+        ids=["bs", "lg_rho05-up", "lg_rho05-down"],
+    )
+    def test_rows_equal_runs_of_their_own(self, request, monkeypatch, model, ell, side, tilted):
+        # one run serves every horizon; each row is the run to its own
+        # horizon on substream 0, to the bit
+        model = request.getfixturevalue(model)
+        rate = rate_for_target(model, ell, side)
+        pol = policy_for_target(model, ell, side, rate=rate)
+        tilt = rate.tilt if tilted else None
+        cfg = SimConfig(horizon=4.0, dt=0.05, n_paths=3000, seed=19)
+        runs = []
+        original = mc._run_paths
+
+        def counting(*args, **kwargs):
+            runs.append(kwargs.get("substream", 0))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_run_paths", counting)
+        fit = rate_fit(model, pol, ell, side, [1.0, 2.0, 4.0], cfg, theta_tilt=tilt)
+        assert runs == [0]
+        monkeypatch.setattr(mc, "_run_paths", original)
+        for row in fit.rows:
+            cfg_T = replace(cfg, horizon=row.horizon)
+            if tilted:
+                own, key = tilted_estimate_prob(model, pol, tilt, ell, side, cfg_T), "ess"
+            else:
+                own, key = estimate_prob(simulate_paths(model, pol, cfg_T), ell, side), "hits"
+            assert result_hexes(row.result, key) == result_hexes(own, key)
+            assert 0.0 < own.estimate < 1.0
+
+    @pytest.mark.parametrize(
+        "horizons, off_grid_substream", [([1.05, 2.0, 4.0], 0), ([2.0, 1.05, 4.0], 1)]
+    )
+    def test_off_grid_horizon_runs_on_its_own_substream(
+        self, bs, monkeypatch, horizons, off_grid_substream
+    ):
+        # 1.05 ends on a shortened step that a run to 4 at dt 0.1 never takes
+        pol = const_policy(3.5)
+        cfg = SimConfig(horizon=4.0, dt=0.1, n_paths=2000, seed=23)
+        runs = []
+        original = mc._run_paths
+
+        def counting(*args, **kwargs):
+            runs.append((args[3].horizon, kwargs.get("substream", 0)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_run_paths", counting)
+        fit = rate_fit(bs, pol, 0.245, Side.UPSIDE, horizons, cfg, theta_tilt=2.0 / 7.0)
+        assert runs == [(4.0, 0), (1.05, off_grid_substream)]
+        monkeypatch.setattr(mc, "_run_paths", original)
+        for row in fit.rows:
+            substream = off_grid_substream if row.horizon == 1.05 else 0
+            own = tilted_estimate_prob(
+                bs, pol, 2.0 / 7.0, 0.245, Side.UPSIDE, replace(cfg, horizon=row.horizon),
+                substream=substream,
+            )
+            assert result_hexes(row.result, "ess") == result_hexes(own, "ess")
+
+    def test_off_grid_horizon_rejected_by_the_estimators(self, bs):
+        cfg = SimConfig(horizon=4.0, dt=0.1, n_paths=10, seed=1)
+        with pytest.raises(ValueError, match="step grid"):
+            simulate_paths(bs, const_policy(2.5), cfg, horizons=[1.05])
+        with pytest.raises(ValueError, match="step grid"):
+            tilted_estimate_prob(bs, const_policy(2.5), 0.2, 0.2, Side.UPSIDE, cfg, horizons=[1.05])
 
     def test_requires_three_horizons(self, bs):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=63)

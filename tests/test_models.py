@@ -469,7 +469,11 @@ class TestPolicyDispatch:
 
     @pytest.mark.parametrize("theta", [math.nan, -math.inf], ids=["nan", "-inf"])
     @pytest.mark.parametrize(
-        "call", ["lg1d_gamma", "lg1d_D", "quadratic_pair", "lg1d_policy", "policy_at_tilt_bs"]
+        "call",
+        [
+            "lg1d_gamma", "lg1d_D", "quadratic_pair", "lg1d_policy", "policy_at_tilt_bs",
+            "quadratic_pair_bs",
+        ],
     )
     def test_tilt_not_finite_is_domain_error(self, bs, lg_rho05, call, theta):
         calls = {
@@ -478,6 +482,7 @@ class TestPolicyDispatch:
             "quadratic_pair": lambda: lg_rho05.quadratic_pair(theta),
             "lg1d_policy": lambda: lg1d_policy(lg_rho05, theta),
             "policy_at_tilt_bs": lambda: policy_at_tilt(bs, theta),
+            "quadratic_pair_bs": lambda: bs.quadratic_pair(theta),
         }
         with pytest.raises(DomainError, match="not finite"):
             calls[call]()
