@@ -19,30 +19,9 @@ import numpy as np
 
 from . import duality, mc, models, riccati
 from .duality import Regime, Side
-from .errors import (
-    BeyondSteepLimit,
-    BracketFailure,
-    DomainError,
-    ErgodicityViolated,
-    GrowthTailError,
-    NoStabilizingSolution,
-    NumericalBlowup,
-    SingularClosedLoop,
-    TargetOutOfRange,
-    WeightDegeneracy,
-)
+from .errors import BeyondSteepLimit, GrowthTailError, TargetOutOfRange
 
-_CONFIG_ERRORS = (ValueError, TargetOutOfRange, BeyondSteepLimit, OSError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (
-    ArithmeticError,  # a float overflow or division by zero in the closed forms
-    BracketFailure,
-    DomainError,
-    ErgodicityViolated,
-    NoStabilizingSolution,
-    NumericalBlowup,
-    SingularClosedLoop,
-    WeightDegeneracy,
-)
+_CONFIG_ERRORS = (ValueError, TargetOutOfRange, BeyondSteepLimit, OSError)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -60,7 +39,11 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return models.model_from_dict(json.load(fh))
+        try:
+            record = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"model file {path!r} nests too deeply") from None
+    return models.model_from_dict(record)
 
 
 def _require_scalar_model(model):
@@ -523,11 +506,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid or path count too large to allocate
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except (ArithmeticError, GrowthTailError) as exc:  # ArithmeticError: closed-form overflow
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except GrowthTailError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

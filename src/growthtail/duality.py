@@ -279,6 +279,11 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
     search interval never bracketed the target (a non-steep curve, or
     inconsistent curve data).  Both sides share one bracket search, on the
     curve's mirror mu'(s) = sign*target.
+
+    The bisection stops when its interval can shrink no further in floating
+    point, or at 1e-16 relative width: about 53 halvings of a bracket of
+    width 1.  The midpoint is returned when its derivative is within 1e-10
+    (relative past 1) of the target; otherwise BracketFailure is raised.
     """
     ell = float(target)
     if not math.isfinite(ell):
@@ -312,11 +317,13 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
             )
     lo, hi = sorted((sign * lo, sign * hi))
 
-    # Bisection in theta on the nondecreasing derivative; runs to floating-point
-    # interval collapse so the tilt itself is resolved, not just the target.
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
+    # Bisection in theta on the nondecreasing derivative, run until no float lies
+    # strictly inside the interval (or it is 1e-16 wide relative), so the tilt
+    # itself is resolved, not just the target.
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # every later step would evaluate this endpoint again
         if curve.deriv(mid) < ell:
             lo = mid
         else:

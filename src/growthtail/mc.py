@@ -450,9 +450,14 @@ def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
     )
 
 
-def _ess(weights: np.ndarray) -> float:
+def _ess(weights: np.ndarray, kind: str) -> float:
+    """Effective sample size; WeightDegeneracy below 1% of the path count."""
     s = weights.sum()
-    return float(s * s / np.sum(weights * weights))
+    ess = float(s * s / np.sum(weights * weights))
+    n = len(weights)
+    if ess < _ESS_FLOOR * n:
+        raise WeightDegeneracy(f"{kind}-weight ESS {ess:.1f} below {_ESS_FLOOR:.0%} of {n} paths")
+    return ess
 
 
 def estimate_log_laplace(sample: PathSample, theta: float) -> SimResult:
@@ -472,11 +477,7 @@ def estimate_log_laplace(sample: PathSample, theta: float) -> SimResult:
     mean_w = float(w.mean())
     est = (amax + math.log(mean_w)) / T
     se = float(w.std(ddof=1)) / (math.sqrt(n) * mean_w * T)
-    ess = _ess(w)
-    if ess < _ESS_FLOOR * n:
-        raise WeightDegeneracy(
-            f"exponential-weight ESS {ess:.1f} below {_ESS_FLOOR:.0%} of {n} paths"
-        )
+    ess = _ess(w, "exponential")
     return SimResult(
         estimate=est,
         std_error=se,
@@ -496,11 +497,7 @@ def _tilted_result(
     p = float(w @ ind) / wsum
     se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
     n = L.shape[0]
-    ess = _ess(w)
-    if ess < _ESS_FLOOR * n:
-        raise WeightDegeneracy(
-            f"tilted-weight ESS {ess:.1f} below {_ESS_FLOOR:.0%} of {n} paths"
-        )
+    ess = _ess(w, "tilted")
     return SimResult(
         estimate=p,
         std_error=se,

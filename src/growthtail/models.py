@@ -599,9 +599,12 @@ def _finite_real(name: str, value) -> float:
     raise ValueError(f"model field {name!r} must be a finite real number, got {value!r}")
 
 
-def _finite_array(name: str, value):
+def _finite_array(name: str, value, depth: int = 2):
+    # every matrix field is 1-D or 2-D; the depth bound keeps the recursion shallow
     if isinstance(value, (list, tuple, np.ndarray)):
-        return [_finite_array(name, v) for v in value]
+        if depth == 0:
+            raise ValueError(f"model field {name!r} nests deeper than a matrix")
+        return [_finite_array(name, v, depth - 1) for v in value]
     return _finite_real(name, value)
 
 

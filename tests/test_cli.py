@@ -514,6 +514,21 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, grid, text",
+        [
+            ("dual", "0:0.5:3", "[" * 100000),
+            ("riccati", "0:0.4:3",
+             json.dumps({**MD1, "K": 0}).replace('"K": 0', '"K": ' + "[" * 900 + "-1" + "]" * 900)),
+        ],
+        ids=["json", "matrix-field"],
+    )
+    def test_deeply_nested_model_file(self, tmp_path, capsys, command, grid, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main([command, "--model", str(path), "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["dual", "--grid", "0:0.4:3"],

@@ -25,7 +25,8 @@ from growthtail import (
     near_optimal_tilt,
     solve_tilt,
 )
-from growthtail.errors import BeyondSteepLimit, BracketFailure, TargetOutOfRange
+from growthtail.duality import _BOUNDARY_CLAMP, _MAX_BRACKET_DOUBLINGS, _TILT_FTOL
+from growthtail.errors import BeyondSteepLimit, BracketFailure, GrowthTailError, TargetOutOfRange
 
 from conftest import conjugate_oracle
 
@@ -593,3 +594,97 @@ class TestConjugateProperties:
             assert abs(slope + tilt) <= 1e-6 * max(1.0, abs(tilt))
 
         self._run(kind, side, check)
+
+
+def capped_solve_tilt(curve: DualCurve, target: float) -> float:
+    """Reference copy of ``solve_tilt`` with its former stop rule: at most 200
+    bisection steps, ended early only at 1e-16 relative width."""
+    ell = float(target)
+    if not math.isfinite(ell):
+        raise TargetOutOfRange("target is NaN" if math.isnan(ell) else "target is not finite")
+    up = curve.side is Side.UPSIDE
+    sign, reach = curve._sign, curve._reach
+    aim = sign * ell
+    d0 = curve.deriv_at_zero
+    if aim <= sign * d0:
+        raise TargetOutOfRange(
+            f"target {ell} at or {'below' if up else 'above'} the derivative at zero ({d0})"
+        )
+    if aim >= curve._far_slope:
+        far = "above the boundary derivative limit" if up else "below the derivative limit at -inf"
+        raise TargetOutOfRange(f"target {ell} at or {far} ({sign * curve._far_slope})")
+    lo = 1e-12 * min(reach, 1.0)
+    if math.isfinite(reach):
+        hi = reach * (1.0 - _BOUNDARY_CLAMP)
+        if curve._slope(hi) <= aim:
+            raise BracketFailure(f"derivative never exceeds target {ell} inside the domain")
+    else:
+        hi = 1.0
+        for _ in range(_MAX_BRACKET_DOUBLINGS):
+            if curve._slope(hi) > aim:
+                break
+            hi *= 2.0
+        else:
+            raise BracketFailure(
+                f"derivative never {'exceeds' if up else 'falls below'} target {ell} "
+                f"{'up' if up else 'down'} to theta={sign * hi}"
+            )
+    lo, hi = sorted((sign * lo, sign * hi))
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if curve.deriv(mid) < ell:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+            break
+    mid = 0.5 * (lo + hi)
+    residual = curve.deriv(mid) - ell
+    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)):
+        raise BracketFailure(
+            f"bisection stalled at theta={mid} with derivative residual {residual:.3e}"
+        )
+    return mid
+
+
+def _outcome(solve, curve, ell):
+    try:
+        return solve(curve, ell).hex()
+    except GrowthTailError as exc:
+        return type(exc), str(exc)
+
+
+class TestStopRule:
+    """The bisection ends when no float lies strictly inside its interval."""
+
+    @pytest.mark.parametrize(
+        "side, ell, tilt", [(Side.DOWNSIDE, 0.0078125, -3.0), (Side.UPSIDE, 2.0, 0.75)]
+    )
+    def test_call_budget(self, bs, monkeypatch, side, ell, tilt):
+        # |tilt| >= 0.5: the 1e-16 width is below one ulp, so only the float stop ends the loop
+        curve = bs_dual(bs, side)
+        calls = []
+        deriv = DualCurve.deriv
+        monkeypatch.setattr(DualCurve, "deriv", lambda self, t: calls.append(t) or deriv(self, t))
+        assert solve_tilt(curve, ell) == pytest.approx(tilt, abs=1e-12)
+        assert len(calls) <= 60
+
+    def test_wide_bracket(self):
+        # no absolute 1e-16 width is reached within 200 halvings of a 1e300-wide bracket
+        curve = DualCurve(Side.UPSIDE, lambda t: t * t, theta_bar=1e300)
+        assert solve_tilt(curve, 1.0) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    @pytest.mark.parametrize("kind", ["bs", "factor", "ou", "black_box"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), frac=st.floats(-0.25, 1.25))
+    def test_same_tilt_as_capped_loop(self, kind, side, data, frac):
+        # targets cover each side's range and a little past both ends of it
+        if kind == "black_box":
+            m = _draw_model("bs", data)
+            curve = black_box_bs(side, q=m.b**2 / (2.0 * m.sigma**2))
+        else:
+            curve = models.dual_curve(_draw_model(kind, data), side)
+        ell, _ = TestConjugateProperties._target(curve, frac)
+        assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
