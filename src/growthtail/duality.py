@@ -202,11 +202,11 @@ class DualCurve:
     def _far_slope(self) -> float:
         """mu' at the reach, probed along s = 2^k when the reach is infinite."""
         if math.isfinite(self._reach):
-            d = self._slope(self._reach * (1.0 - _BOUNDARY_CLAMP))
+            d = self._far_probe(self._reach * (1.0 - _BOUNDARY_CLAMP))
             return math.inf if d > _STEEP_THRESHOLD else d
-        prev = self._slope(1.0)
+        prev = self._far_probe(1.0)
         for k in range(1, 60):
-            cur = self._slope(float(2**k))
+            cur = self._far_probe(float(2**k))
             if cur > _STEEP_THRESHOLD:
                 return math.inf
             if abs(cur - prev) <= max(1e-10, 1e-8 * abs(cur)):
@@ -255,6 +255,19 @@ class DualCurve:
     def _slope(self, s: float) -> float:
         """mu'(s) = sign*Lambda'(sign*s), the nondecreasing slope of the mirror."""
         return self._sign * self.deriv(self._sign * s)
+
+    def _far_probe(self, s: float) -> float:
+        """mu'(s) for the far limit: +inf where a NaN comes from the curve overflowing at s.
+
+        Any other NaN is a BracketFailure, so that no range guard compares
+        against it.
+        """
+        d = self._slope(s)
+        if math.isnan(d):
+            if math.isinf(self._evaluate(self._sign * s)):
+                return math.inf
+            raise BracketFailure(f"derivative is NaN at theta={self._sign * s}")
+        return d
 
     def _fd_deriv(self, theta: float) -> float:
         sign, s = self._sign, self._sign * theta

@@ -12,12 +12,15 @@ enters only through ``model.market()``, its canonical record
 ``(K, B1, B0, sigma, gamma)``, and ``model.quadratic_pair(theta)``, the
 ``(C, D)`` pair that shapes the tilted shift.  The Black-Scholes case is
 the empty-factor record (m = 0) and its log-wealth scheme is exact in
-distribution at any step size.  With no factor the policy, drift and
-shift terms are the same at every step, so the stepper computes them once,
-by the same expressions on the same values, and a run's numbers are those
-of the per-step computation.  A state that overflows or turns NaN ends the
-run in ``NumericalBlowup`` from the stepper's periodic finiteness check,
-without a numpy warning first.
+distribution at any step size.  The stepper holds the factor state
+component-major, one n-vector per factor, and forms the policy, drift and
+shift terms as sums of elementwise products over the small dimensions, in
+scratch reused by every step.  With no factor those terms are the same for
+every path and at every step, so the stepper computes them once, as one
+entry that broadcasts over the paths, by the same expressions on the same
+values.  A state that overflows or turns NaN ends the run in
+``NumericalBlowup`` from the stepper's periodic finiteness check, without
+a numpy warning first.
 
 Estimators
 ----------
@@ -41,14 +44,21 @@ All noise comes from counter-based Philox streams keyed by
 (seed, substream, step index), and path i always reads row i of its
 step's draw, so a run is bit-identical for a fixed seed, substream,
 path count and step grid.  In a run of 2**20 or more normals a one-thread
-pool draws and scales the increments one handoff of steps ahead while the
-caller advances the previous ones, and is joined on every exit; a shorter
-run draws them in line.  The stream and the draw of every step are the
-same either way, so the prefetch changes no realised number.  A run to
-T/4 takes the first steps of a run to T on the same grid, so a decay-rate
-fit reads every such horizon from one run's state where the horizon ends:
-each row is bit-identical to a run of its own on substream 0, and the
-rows are correlated.
+pool is queued up to two handoffs of steps ahead of the one the caller
+advances; when the caller reaches a handoff that is not drawn yet, it
+draws the queued handoffs that the pool has not started itself, instead
+of waiting.  The pool is shut down on every exit, and handoffs it has not
+started are cancelled.  A shorter run draws its noise in line.  The draw
+of a step is the same on any thread, so which thread drew it changes no
+realised number.  With at most one asset, one factor and two Brownian
+drivers (the Black-Scholes, scalar factor and OU log-price models) the
+arithmetic is bit for bit that of a row-layout stepper holding (n, m)
+rows and forming its terms by matmul and einsum; on larger markets a sum
+may round differently in the last bits.  A run to T/4 takes the first
+steps of a run to T on the same grid, so a decay-rate fit reads every
+such horizon from one run's state where the horizon ends: each row is
+bit-identical to a run of its own on substream 0, and the rows are
+correlated.
 """
 
 from __future__ import annotations
@@ -93,6 +103,8 @@ _HANDOFF_NORMALS = 1 << 16
 # a thread costs 0.1-0.3 ms, and several ms while another thread spins on
 # the caller's CPU, as OpenBLAS's pool does for a while after numpy loads.
 _PREFETCH_NORMALS = 1 << 20
+# Noise buffers of a run drawn ahead: the handoff being stepped and two queued.
+_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -240,6 +252,22 @@ def _fill(seed: int, substream: int, steps: list, span: range, buf: np.ndarray) 
         buf[i] *= math.sqrt(steps[k])
 
 
+def _sum_products(out: np.ndarray, tmp: np.ndarray, xs, ys) -> np.ndarray:
+    """out = xs[0]*ys[0] + xs[1]*ys[1] + ..., each product rounded, summed left to right.
+
+    An empty sum is 0.  This is bit for bit a matmul over a dimension of
+    length 0 or 1 and an ``einsum`` sum of one or two products; a BLAS
+    product over two or more terms may fuse its multiply-adds instead.
+    """
+    if len(xs) == 0:
+        out.fill(0.0)
+        return out
+    np.multiply(xs[0], ys[0], out=out)
+    for x, y in zip(xs[1:], ys[1:]):
+        out += np.multiply(x, y, out=tmp)
+    return out
+
+
 def _run_paths(
     arrays: FactorMarket,
     gain: np.ndarray,
@@ -254,83 +282,116 @@ def _run_paths(
     """Step every path to cfg.horizon; returns the terminal (L, Y, logw).
 
     After each step count k in ``marks`` the state is checked for
-    non-finite values and handed to ``on_mark(k, L, Y, logw)``; later
-    steps update those arrays in place.
+    non-finite values and handed to ``on_mark(k, L, Y, logw)``, with Y an
+    (n, m) view; later steps update those arrays in place.
     """
     d, m, q = arrays.dims
     n = cfg.n_paths
     steps = cfg.steps()
-    L, Y, logw = np.zeros(n), np.zeros((n, m)), np.zeros(n)
+    K, B1, B0, sigma, gamma = arrays.K, arrays.B1, arrays.B0, arrays.sigma, arrays.gamma
     tilted = theta_tilt is not None
     if tilted:
         C, D = CD
-    # A long run's noise comes in handoffs of consecutive steps, each holding
-    # at least _HANDOFF_NORMALS normals.  This thread draws the first one; a
-    # one-thread pool fills the spare of two buffers with the next handoff
-    # while this thread steps through the other.  A short run is drawn in
-    # line, one step at a time.
+    # The state is component-major, one n-vector per factor.  Every term is a
+    # sum of elementwise products over d, m or q, written into scratch that
+    # every step reuses (matmul and einsum are slow on (n, 1) and (n, 2) rows),
+    # except dW @ gamma', which stays a BLAS product for its fused
+    # multiply-adds.  With no factor (m = 0) the terms are the same for every
+    # path and at every step: one entry, computed once, broadcast over paths.
+    P = n if m else 1
+    L, Y, logw = np.zeros(n), np.zeros((m, n)), np.zeros(n)
+    pi, b, A, H, z = (np.empty((rows, P)) for rows in (d, d, q, q, m))
+    drift, half_HH, scaled, ptmp = (np.empty(P) for _ in range(4))
+    dot, tmp, KY, G = np.empty(n), np.empty(n), np.empty((m, n)), np.empty((n, m))
+    # Noise comes in handoffs of consecutive steps, each of at least
+    # _HANDOFF_NORMALS normals.  A long run queues up to _WINDOW - 1 handoffs
+    # ahead of the one it steps on a one-thread pool; rather than wait for a
+    # handoff, this thread draws the queued ones the pool has not started,
+    # furthest first, as the pool takes them in order.  A short run is drawn
+    # in line, one step at a time.
     ahead = len(steps) * n * q >= _PREFETCH_NORMALS
     spans = _handoffs(len(steps), -(-_HANDOFF_NORMALS // (n * q)) if ahead else 1)
-    block = np.empty((len(spans[-1]), n, q))
     fill = partial(_fill, cfg.seed, substream, steps)
+    bufs = [np.empty((len(spans[-1]), n, q))]  # the last span is the longest
     pool = None
     if ahead and len(spans) > 1:
         # here, not at the top: it adds about 7 ms to every start-up
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import Future, ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(1, initializer=_leave_cpu, initargs=(_current_cpu(),))
-        spare = np.empty_like(block)
-        pending = pool.submit(fill, spans[1], spare)
+        bufs += [np.empty_like(bufs[0]) for _ in spans[1:_WINDOW]]
+        queued = {i: pool.submit(fill, spans[i], bufs[i]) for i in range(1, len(bufs))}
+        drawn = Future()  # stands for a handoff this thread drew
+        drawn.set_result(None)
     marks = frozenset(marks)
-    # n-sized scratch reused by every step: the same operations in the same
-    # order as fresh temporaries, without an allocation per step
-    dot, scaled = np.empty(n), np.empty(n)
     try:
         # a blow-up is reported by the finiteness check, not by a numpy warning first
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(spans[0], block)
+            fill(spans[0], bufs[0])
             j = 0
             t = 0.0
             for k, h in enumerate(steps):
-                # with no factor (m = 0) these terms are the same at every step
                 if m or k == 0:
-                    pi = Y @ gain.T + intercept                   # (n, d)
-                    A = pi @ arrays.sigma                         # (n, q), rows sigma'pi
-                    drift = (                                     # pi'b - pi'ss'pi / 2
-                        np.einsum("ij,ij->i", pi, Y @ arrays.B1.T + arrays.B0)
-                        - 0.5 * np.einsum("ij,ij->i", A, A)
-                    )
+                    for a in range(d):
+                        _sum_products(pi[a], ptmp, gain[a], Y)         # pi = G y + g0
+                        pi[a] += intercept[a]
+                        _sum_products(b[a], ptmp, B1[a], Y)            # b(y) = B1 y + B0
+                        b[a] += B0[a]
+                    for i in range(q):
+                        _sum_products(A[i], ptmp, sigma[:, i], pi)     # sigma'pi
+                    _sum_products(drift, ptmp, pi, b)                  # pi'b - pi'ss'pi / 2
+                    drift -= np.multiply(_sum_products(scaled, ptmp, A, A), 0.5, out=scaled)
                     if tilted:
-                        H = theta_tilt * A + (Y @ C.T + D) @ arrays.gamma
-                        half_HH = 0.5 * np.einsum("ij,ij->i", H, H)
-                    del pi  # with m = 0 it would stay allocated for the whole run
+                        # H = theta sigma'pi + gamma'(C y + D)
+                        for i in range(m):
+                            _sum_products(z[i], ptmp, C[i], Y)
+                            z[i] += D[i]
+                        for i in range(q):
+                            _sum_products(H[i], ptmp, gamma[:, i], z)
+                            H[i] += np.multiply(A[i], theta_tilt, out=ptmp)
+                        np.multiply(_sum_products(half_HH, ptmp, H, H), 0.5, out=half_HH)
                 if k == spans[j].stop:
                     j += 1
                     if pool is None:
-                        fill(spans[j], block)
+                        fill(spans[j], bufs[0])
                     else:
+                        # the buffer handoff j - 1 held is free again
+                        nxt = j + len(bufs) - 1
+                        if nxt < len(spans):
+                            queued[nxt] = pool.submit(fill, spans[nxt], bufs[nxt % len(bufs)])
+                        pending = queued.pop(j)
+                        for i in sorted(queued, reverse=True):
+                            if pending.done():
+                                break
+                            if queued[i].cancel():  # only if the pool has not started it
+                                fill(spans[i], bufs[i % len(bufs)])
+                                queued[i] = drawn
                         pending.result()  # re-raises the draw's own exception
-                        block, spare = spare, block
-                        if j + 1 < len(spans):
-                            pending = pool.submit(fill, spans[j + 1], spare)
-                dW = block[k - spans[j].start]                    # sqrt(h) * N(0, 1)
+                dW = bufs[j % len(bufs)][k - spans[j].start]   # sqrt(h) * N(0, 1), (n, q)
+                dWc = dW.T                                      # its q columns
                 if tilted:
                     # logw -= H'dW + |H|^2 h / 2, then dW += H h (this step's row only)
-                    np.einsum("ij,ij->i", H, dW, out=dot)
+                    _sum_products(dot, tmp, H, dWc)
                     dot += np.multiply(half_HH, h, out=scaled)
                     logw -= dot
-                    dW += H * h
-                # L += (pi'b - pi'ss'pi / 2) h + A'dW
-                np.multiply(drift, h, out=scaled)
-                scaled += np.einsum("ij,ij->i", A, dW, out=dot)
-                L += scaled
+                    for i in range(q):
+                        dWc[i] += np.multiply(H[i], h, out=scaled)
+                # L += A'dW + (pi'b - pi'ss'pi / 2) h
+                _sum_products(dot, tmp, A, dWc)
+                dot += np.multiply(drift, h, out=scaled)
+                L += dot
                 if m:
-                    Y += (Y @ arrays.K.T) * h + dW @ arrays.gamma.T
+                    # Y += (K y) h + gamma dW
+                    for i in range(m):
+                        _sum_products(KY[i], tmp, K[i], Y)
+                        KY[i] *= h
+                    KY += np.matmul(dW, gamma.T, out=G).T
+                    Y += KY
                 t += h
                 if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 in marks or k + 1 == len(steps):
                     bad = ~np.isfinite(L)
                     if m:
-                        bad |= ~np.isfinite(Y).all(axis=1)
+                        bad |= ~np.isfinite(Y).all(axis=0)
                     if tilted:
                         bad |= ~np.isfinite(logw)
                     if bad.any():
@@ -341,15 +402,15 @@ def _run_paths(
                             time=t,
                         )
                 if k + 1 in marks:
-                    on_mark(k + 1, L, Y, logw)
+                    on_mark(k + 1, L, Y.T, logw)
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     stats = _run_stats.get()
     if stats is not None:
         stats.sim_runs += 1
         stats.path_steps += n * len(steps)
-    return L, Y, logw
+    return L, np.ascontiguousarray(Y.T), logw
 
 
 def _end_step(cfg: SimConfig, horizon: float) -> Optional[int]:

@@ -236,6 +236,33 @@ class TestNaNCurve:
         with pytest.raises(BracketFailure):
             conjugate_upside(curve, 0.2)
 
+    def test_overflowing_far_slope_reads_steep(self):
+        # the finite difference at the reach overflows to inf - inf: a steep
+        # curve, not a NaN limit that every range guard lets through
+        curve = DualCurve(Side.UPSIDE, lambda t: t * t, theta_bar=1e300)
+        assert curve.deriv_at_upper_limit == math.inf
+        assert curve.steep
+        assert solve_tilt(curve, 1.0) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "side, evaluate, theta_bar",
+        [
+            (Side.UPSIDE, lambda t: t * t if t < 0.5 else math.nan, 1.0),
+            (Side.DOWNSIDE, lambda t: t * t if t > -4.0 else math.nan, math.inf),
+        ],
+        ids=["upside-at-the-boundary", "downside-along-the-probe"],
+    )
+    def test_nan_far_slope_is_bracket_failure(self, side, evaluate, theta_bar):
+        # a NaN that is not an overflow of the curve is bad curve data
+        curve = DualCurve(side, evaluate, theta_bar=theta_bar)
+        conjugate = conjugate_upside if side is Side.UPSIDE else conjugate_downside
+        with pytest.raises(BracketFailure, match="NaN"):
+            curve._far_slope
+        with pytest.raises(BracketFailure, match="NaN"):
+            solve_tilt(curve, 0.5 if side is Side.UPSIDE else -0.5)
+        with pytest.raises(BracketFailure, match="NaN"):
+            conjugate(curve, 0.5 if side is Side.UPSIDE else -0.5)
+
 
 class TestNearOptimalTilt:
     def test_bs_explicit_value(self, bs):

@@ -15,6 +15,7 @@ from growthtail import (
     FactorMarket,
     FeedbackPolicy,
     LinearFactor1D,
+    LinearFactorMD,
     Side,
     SimConfig,
     empirical_chebyshev_check,
@@ -54,12 +55,32 @@ PREFETCH_POLICIES = {
     "bs": const_policy(2.5),
     "pr": FeedbackPolicy(gain=-4.0, intercept=0.5),
     "flat2": FeedbackPolicy(gain=np.zeros((2, 0)), intercept=[1.5, -0.5]),
+    "md2": FeedbackPolicy(gain=[[0.4, -0.2], [0.1, 0.3]], intercept=[1.0, 0.5]),
 }
+
+# Where a sum runs over more than two terms, or a BLAS product over two or
+# more, the component-major stepper may round differently from the row-layout
+# reference: its results must then agree within this fraction of the
+# largest magnitude in each array (fixed before the first run).
+MD_REL_BOUND = 1e-13
 
 
 @pytest.fixture
 def flat2():
     return TwoAssetsNoFactor()
+
+
+@pytest.fixture
+def md2():
+    """Acceptance test_03's matrix market: m = 2 factors, d = 2 assets, q = 4 drivers."""
+    rng = np.random.default_rng(7)
+    return LinearFactorMD(
+        K=np.diag([-1.0, -2.0]),
+        B1=0.5 * rng.normal(size=(2, 2)),
+        B0=np.array([0.5, 0.3]),
+        sigma=np.hstack([np.diag([0.3, 0.4]), 0.05 * rng.normal(size=(2, 2))]),
+        gamma=np.hstack([0.05 * rng.normal(size=(2, 2)), np.diag([0.6, 0.7])]),
+    )
 
 
 def digest(a: np.ndarray) -> str:
@@ -76,10 +97,13 @@ def result_hexes(res, key: str) -> list:
 
 
 def inline_run_paths(model, policy, cfg, theta_tilt=None, substream=0):
-    """The stepper with each step's noise drawn in line, the reference for the prefetch.
+    """The row-layout stepper with each step's noise drawn in line: the reference.
 
-    Same arithmetic in the same order as ``mc._run_paths``; only the draw
-    and the sqrt(h) scaling happen on the calling thread, one step at a time.
+    Holds the state as (n, m) rows and forms every term with matmul and
+    einsum, as the stepper did before it went component-major, and draws
+    and scales each step's noise on the calling thread, one step at a time.
+    ``mc._run_paths`` must match it bit for bit on the models here with
+    at most two terms per sum, and within ``MD_REL_BOUND`` on md2.
     """
     arrays = model.market()
     d, m, q = arrays.dims
@@ -138,6 +162,32 @@ def run_bounded(fn, timeout=120.0) -> dict:
     helper.join(timeout)
     assert not helper.is_alive(), f"call still running after {timeout} s"
     return box
+
+
+def on_worker() -> bool:
+    """Whether this is the noise pool's thread (concurrent.futures names it so)."""
+    return threading.current_thread().name.startswith("ThreadPoolExecutor")
+
+
+def slow_worker_draws(monkeypatch, delay=0.02, caller_error=None):
+    """Slow only the pool's draws; returns the log of (step, drawn on the worker) pairs.
+
+    With ``caller_error`` the first draw the caller makes past step 0 raises it.
+    """
+    real = mc._step_normals
+    log = []
+
+    def draw(seed, substream, step, out):
+        worker = on_worker()
+        if worker:
+            time.sleep(delay)
+        elif caller_error is not None and step > 0:
+            raise caller_error
+        real(seed, substream, step, out)
+        log.append((step, worker))
+
+    monkeypatch.setattr(mc, "_step_normals", draw)
+    return log
 
 
 def slow_draws(monkeypatch, fail_step=None, error=None):
@@ -239,13 +289,37 @@ class TestDeterminism:
             (70000, 1.55, 0.1, -0.5),
         ],
     )
-    @pytest.mark.parametrize("model", ["bs", "pr", "flat2"])
+    @pytest.mark.parametrize("model", ["bs", "pr", "flat2", "md2"])
     def test_prefetch_matches_inline_draw(self, request, model, n_paths, horizon, dt, tilt):
-        # flat2 has no factor, so the stepper computes its policy terms once
+        # flat2 has no factor, so the stepper computes its policy terms once;
+        # md2 is the one market with m >= 2 through the stepper
         m = request.getfixturevalue(model)
         pol = PREFETCH_POLICIES[model]
         cfg = SimConfig(horizon=horizon, dt=dt, n_paths=n_paths, seed=17)
         got = prefetched_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        want = inline_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            if model == "md2":
+                # sums over d = m = 2 and q = 4 terms, and 2-term BLAS products
+                assert np.max(np.abs(a - b), initial=0.0) <= MD_REL_BOUND * np.max(np.abs(b))
+            else:
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tilt", [None, -0.5], ids=["direct", "tilted"])
+    @pytest.mark.parametrize("model", ["bs", "pr", "flat2"])
+    def test_shared_draws_match_inline_draw(self, request, monkeypatch, model, tilt):
+        # the pool draws slowly, so the caller draws queued handoffs itself;
+        # which thread drew a step must not change a number
+        m = request.getfixturevalue(model)
+        pol = PREFETCH_POLICIES[model]
+        cfg = SimConfig(horizon=1.55, dt=0.1, n_paths=70000, seed=17)  # one step per handoff
+        log = slow_worker_draws(monkeypatch)
+        got = prefetched_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        monkeypatch.undo()
+        assert sorted(step for step, _ in log) == list(range(len(cfg.steps())))
+        assert any(worker for _, worker in log)
+        assert any(step > 0 and not worker for step, worker in log)  # past the first handoff
         want = inline_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -293,6 +367,44 @@ class TestNoiseWorker:
         box = run_bounded(lambda: simulate_paths(bs, const_policy(2.5), cfg))
         assert box["error"] is error
         assert box["after"] == box["before"]
+
+    def test_caller_draw_error_reaches_caller(self, bs, monkeypatch):
+        # the caller draws a queued handoff itself, and that draw fails
+        error = RuntimeError("draw failed")
+        log = slow_worker_draws(monkeypatch, caller_error=error)
+        cfg = SimConfig(horizon=2.0, dt=0.1, n_paths=1 << 16, seed=4)
+        box = run_bounded(lambda: simulate_paths(bs, const_policy(2.5), cfg))
+        assert box["error"] is error
+        assert box["after"] == box["before"]
+        assert any(worker for _, worker in log)
+
+    def test_blowup_does_not_wait_for_queued_draws(self, bs, monkeypatch):
+        # a blow-up at the 64th of 70 steps, one step per handoff, while the
+        # slow pool still has handoffs queued: none of them is started after
+        # the blow-up is raised
+        raised = threading.Event()
+
+        class Blowup(NumericalBlowup):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                raised.set()
+
+        started_after = []
+        real = mc._step_normals
+
+        def draw(seed, substream, step, out):
+            if on_worker():
+                started_after.append(raised.is_set())
+                time.sleep(0.03)
+            real(seed, substream, step, out)
+
+        monkeypatch.setattr(mc, "NumericalBlowup", Blowup)
+        monkeypatch.setattr(mc, "_step_normals", draw)
+        cfg = SimConfig(horizon=7.0, dt=0.1, n_paths=1 << 16, seed=4)
+        box = run_bounded(lambda: simulate_paths(bs, const_policy(1e200), cfg))
+        assert isinstance(box["error"], NumericalBlowup)
+        assert box["after"] == box["before"]
+        assert started_after and not any(started_after)
 
     def test_concurrent_runs_bit_identical(self, bs, lg_rho0):
         # more callers than cores, with a short switch interval, so that a
