@@ -46,15 +46,6 @@ def _load_model(path: str):
     return models.model_from_dict(record)
 
 
-def _require_scalar_model(model):
-    if isinstance(model, riccati.LinearFactorMD):
-        raise ValueError(
-            "this command needs a scalar model file; use the 'riccati' command "
-            "for matrix models"
-        )
-    return model
-
-
 def _side(arg: str) -> Side:
     return Side.UPSIDE if arg == "up" else Side.DOWNSIDE
 
@@ -112,13 +103,11 @@ def _policy_scalars(policy) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (model, side, args) to (payload, columns) for main
 # ---------------------------------------------------------------------------
 
 
-def cmd_dual(args) -> int:
-    model = _require_scalar_model(_load_model(args.model))
-    side = _side(args.side)
+def cmd_dual(model, side: Side, args):
     grid = _parse_grid(args.grid)
     curve = models.dual_curve(model, side)
     samples = [(curve.value(t), curve.deriv(t)) for t in grid]
@@ -135,30 +124,23 @@ def cmd_dual(args) -> int:
             "convex_ok": diag.ok,
         },
     }
-    _write_output(payload, ["theta", "lambda", "lambda_prime"], args.format, args.out)
-    return 0
+    return payload, ["theta", "lambda", "lambda_prime"]
 
 
-def cmd_frontier(args) -> int:
-    model = _require_scalar_model(_load_model(args.model))
-    side = _side(args.side)
+def cmd_frontier(model, side: Side, args):
     grid = _parse_grid(args.grid) if args.grid else [args.ell]
     if grid == [None]:
         raise ValueError("frontier needs --grid or --ell")
-    curve = models.dual_curve(model, side)
-
-    def policy_fn(ell, rate):
-        return models.policy_for_target(model, ell, side, rate=rate)
-
     rows = []
-    for point in duality.frontier(curve, grid, policy_fn=policy_fn):
+    for point in duality.frontier(models.dual_curve(model, side), grid):
         if point.error is not None:
             rows.append(
                 {"ell": point.target, "theta": None, "v": None, "policy_gain": None,
                  "policy_intercept": None, "regime": None, "error": point.error}
             )
             continue
-        gain, intercept = _policy_scalars(point.policy_handle)
+        policy = models.policy_for_target(model, point.target, side, rate=point.rate)
+        gain, intercept = _policy_scalars(policy)
         rows.append(
             {
                 "ell": point.target,
@@ -171,19 +153,10 @@ def cmd_frontier(args) -> int:
             }
         )
     payload = {"command": "frontier", "side": args.side, "rows": rows}
-    _write_output(
-        payload,
-        ["ell", "theta", "v", "policy_gain", "policy_intercept", "regime", "error"],
-        args.format,
-        args.out,
-    )
-    return 0
+    return payload, ["ell", "theta", "v", "policy_gain", "policy_intercept", "regime", "error"]
 
 
-def cmd_riccati(args) -> int:
-    model = _load_model(args.model)
-    if not isinstance(model, riccati.LinearFactorMD):
-        raise ValueError("the riccati command needs a matrix model file")
+def cmd_riccati(model, side: Side, args):
     grid = _parse_grid(args.grid)
     sweep = riccati.theta_sweep(model, grid)
     m = model.m
@@ -209,13 +182,7 @@ def cmd_riccati(args) -> int:
         "rows": rows,
         "diagnostics": {"empirical_theta_bar": sweep.breakdown_theta},
     }
-    _write_output(
-        payload,
-        ["theta", "gamma", "residual", "eig_max_real", "ok", "error"] + c_cols + d_cols,
-        args.format,
-        args.out,
-    )
-    return 0
+    return payload, ["theta", "gamma", "residual", "eig_max_real", "ok", "error"] + c_cols + d_cols
 
 
 def _resolve_tilt(rate, tilt_arg: str) -> Optional[float]:
@@ -244,9 +211,7 @@ def _require_target(args, usage: str) -> None:
         raise ValueError("target is NaN")
 
 
-def cmd_simulate(args) -> int:
-    model = _require_scalar_model(_load_model(args.model))
-    side = _side(args.side)
+def cmd_simulate(model, side: Side, args):
     _require_target(args, "simulate needs --ell (tail probability) or --theta (log-Laplace)")
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     auto = args.ell is not None and args.tilt == "auto"  # one rate for the tilt and the policy
@@ -279,13 +244,7 @@ def cmd_simulate(args) -> int:
         "seed": cfg.seed,
     }
     payload = {"command": "simulate", "rows": [row]}
-    _write_output(
-        payload,
-        ["estimator", "T", "theta", "ell", "estimate", "se", "ess", "n_paths", "seed"],
-        args.format,
-        args.out,
-    )
-    return 0
+    return payload, ["estimator", "T", "theta", "ell", "estimate", "se", "ess", "n_paths", "seed"]
 
 
 def _verify_ell(model, side: Side, args, checks: list) -> None:
@@ -312,7 +271,7 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
 
     fit = mc.rate_fit(model, policy, ell, side, horizons, cfg, theta_tilt=tilt)
     is_bs = isinstance(model, models.BlackScholesModel)
-    pi_const = float(np.asarray(policy.intercept).reshape(-1)[0])
+    pi_const = _policy_scalars(policy)[1]
 
     if is_bs:
         oracle = [models.bs_prob_exact(model, pi_const, ell, T, side) for T in horizons]
@@ -414,9 +373,7 @@ def _verify_theta(model, side: Side, args, checks: list) -> None:
     )
 
 
-def cmd_verify(args) -> int:
-    model = _require_scalar_model(_load_model(args.model))
-    side = _side(args.side)
+def cmd_verify(model, side: Side, args):
     _require_target(args, "verify needs --ell or --theta")
     checks: list[dict] = []
     with mc.counting() as stats:
@@ -424,15 +381,13 @@ def cmd_verify(args) -> int:
             _verify_ell(model, side, args, checks)
         else:
             _verify_theta(model, side, args, checks)
-    passed = all(c["passed"] for c in checks)
     payload = {
         "command": "verify",
-        "passed": passed,
+        "passed": all(c["passed"] for c in checks),
         "rows": checks,
         "diagnostics": {"path_steps": stats.path_steps, "sim_runs": stats.sim_runs},
     }
-    _write_output(payload, ["name", "passed"], args.format, args.out)
-    return 0 if passed else 1
+    return payload, ["name", "passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +400,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side", choices=("up", "down"), default="up")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
+    p.set_defaults(matrix=False)  # the model kind the command takes
 
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
@@ -456,7 +412,6 @@ def _add_sim_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--tilt", default="auto", help="'auto' or an explicit tilt value")
-    p.add_argument("--grid", default=None, help="horizon grid a:b:n (verify only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riccati", help="matrix Riccati sweep with certificates")
     _add_common(p)
     p.add_argument("--grid", required=True, help="theta grid a:b:n")
-    p.set_defaults(fn=cmd_riccati)
+    p.set_defaults(fn=cmd_riccati, matrix=True)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate for one target or tilt")
     _add_common(p)
@@ -490,16 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Monte-Carlo verification report")
     _add_common(p)
     _add_sim_options(p)
+    p.add_argument("--grid", default=None, help="horizon grid a:b:n (verify only)")
     p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load and kind-check --model, run the command, write its payload; the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        model = _load_model(args.model)
+        if isinstance(model, riccati.LinearFactorMD) != args.matrix:
+            raise ValueError(
+                "the riccati command needs a matrix model file" if args.matrix else
+                "this command needs a scalar model file; use the 'riccati' command for matrix models"
+            )
+        payload, columns = args.fn(model, _side(args.side), args)
+        _write_output(payload, columns, args.format, args.out)
+        return 0 if payload.get("passed", True) else 1
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

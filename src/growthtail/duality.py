@@ -59,6 +59,7 @@ _BOUNDARY_CLAMP = 1e-9
 _STEEP_THRESHOLD = 1e12
 _TILT_FTOL = 1e-10
 _MAX_BRACKET_DOUBLINGS = 60
+_CURVE_TOL = 1e-9  # largest |Lambda(0)| and grid violation of an ok curve
 
 
 class Side(enum.Enum):
@@ -132,12 +133,15 @@ class FrontierPoint:
 
     target: float
     rate: Optional[RateValue]
-    policy_handle: object = None
     error: Optional[str] = None
 
 
 class DualCurve:
     """Evaluable convex dual value curve with derivative access.
+
+    A curve is its side, ``evaluate`` (Lambda), an optional ``deriv``
+    (Lambda'), the upside endpoint ``theta_bar`` and optional derivative
+    limits; it carries nothing else.
 
     Upside curves live on [0, theta_bar) with theta_bar in (0, +inf];
     downside curves live on (-inf, 0].  Lambda(0) = 0 always.  Evaluation
@@ -170,7 +174,6 @@ class DualCurve:
         deriv_at_zero: Optional[float] = None,
         deriv_at_lower_limit: Optional[float] = None,
         deriv_at_upper_limit: Optional[float] = None,
-        name: str = "",
     ):
         up = side is Side.UPSIDE
         if not up:
@@ -183,7 +186,6 @@ class DualCurve:
         self._reach = self.theta_bar if up else math.inf
         self._evaluate = evaluate
         self._deriv = deriv
-        self.name = name
         # given limits shadow the cached properties below
         if deriv_at_zero is not None:
             self.deriv_at_zero = float(deriv_at_zero)
@@ -403,16 +405,12 @@ def near_optimal_tilt(curve: DualCurve, n: int) -> float:
     return solve_tilt(curve, curve.deriv_at_zero + 1.0 / n)
 
 
-def frontier(
-    curve: DualCurve,
-    targets: Sequence[float],
-    policy_fn: Optional[Callable[[float, RateValue], object]] = None,
-) -> list[FrontierPoint]:
+def frontier(curve: DualCurve, targets: Sequence[float]) -> list[FrontierPoint]:
     """Tabulate the rate function over a sorted target grid.
 
-    Per-point failures are recorded in the row (``error`` field) and do
-    not abort the sweep.  ``policy_fn(target, rate)``, when given, builds
-    an opaque policy handle for each successful row.
+    A target the conjugation cannot solve (TargetOutOfRange, BracketFailure
+    or BeyondSteepLimit) gets a row with no rate and the failure in its
+    ``error`` field; the sweep goes on.
     """
     targets = [float(t) for t in targets]
     if any(b < a for a, b in zip(targets, targets[1:])):
@@ -424,40 +422,41 @@ def frontier(
                 rate = conjugate_upside(curve, ell)
             else:
                 rate = conjugate_downside(curve, ell)
-            handle = policy_fn(ell, rate) if policy_fn is not None else None
-            out.append(FrontierPoint(ell, rate, handle))
+            out.append(FrontierPoint(ell, rate))
         except (TargetOutOfRange, BracketFailure, BeyondSteepLimit) as exc:
-            out.append(FrontierPoint(ell, None, None, f"{type(exc).__name__}: {exc}"))
+            out.append(FrontierPoint(ell, None, f"{type(exc).__name__}: {exc}"))
     return out
 
 
 @dataclass
 class CurveDiagnostics:
-    """Sampled-grid health report for a dual curve."""
+    """Sampled-grid health report for a dual curve (see :func:`check_curve`)."""
 
     value_at_zero: float
     convexity_violation: float
     monotonicity_violation: float
-    tol: float = 1e-9
 
     @property
     def ok(self) -> bool:
         return (
-            abs(self.value_at_zero) <= self.tol
-            and self.convexity_violation <= self.tol
-            and self.monotonicity_violation <= self.tol
+            abs(self.value_at_zero) <= _CURVE_TOL
+            and self.convexity_violation <= _CURVE_TOL
+            and self.monotonicity_violation <= _CURVE_TOL
         )
 
 
 def check_curve(
-    curve: DualCurve, thetas: Iterable[float], tol: float = 1e-9, samples: Optional[list] = None
+    curve: DualCurve, thetas: Iterable[float], samples: Optional[list] = None
 ) -> CurveDiagnostics:
     """Check Lambda(0)=0, convexity, and derivative monotonicity on a grid.
 
-    ``samples``, the (value, derivative) pairs already computed at ``thetas``
-    in order, spare evaluating the curve there again.  A non-finite value or
-    derivative anywhere on the grid reports NaN violations, so the
-    diagnostics are not ``ok``.
+    The convexity violation is the largest excess of a sampled value over
+    the chord of its neighbours, the monotonicity violation the largest
+    drop of the derivative; the diagnostics are ``ok`` when |Lambda(0)|
+    and both are at most 1e-9.  ``samples``, the (value, derivative) pairs
+    already computed at ``thetas`` in order, spare evaluating the curve
+    there again.  A non-finite value or derivative anywhere on the grid
+    reports NaN violations, so the diagnostics are not ``ok``.
     """
     thetas = [float(t) for t in thetas]
     if samples is None:
@@ -478,4 +477,4 @@ def check_curve(
         mono = max(mono, d1 - d2)
     if not all(math.isfinite(x) for x in vals + ders):
         conv = mono = math.nan  # max() would drop a NaN; a non-finite sample fails both
-    return CurveDiagnostics(curve.value(0.0), conv, mono, tol)
+    return CurveDiagnostics(curve.value(0.0), conv, mono)

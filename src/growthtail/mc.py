@@ -490,8 +490,8 @@ def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
     """Empirical tail frequency with a binomial standard error.
 
     A zero-hit outcome is flagged (``extras["zero_hits"]``) rather than
-    raised; the flag suggests rerunning with the tilted estimator at the
-    conjugate tilt of the target.
+    raised; the tilted estimator at the target's conjugate tilt is the
+    remedy.
     """
     ind = _tail_indicator(sample.L, sample.horizon, target, side)
     n = sample.n_paths
@@ -501,7 +501,6 @@ def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
     extras = {"hits": hits}
     if hits == 0:
         extras["zero_hits"] = True
-        extras["suggestion"] = "no hits: rerun with the tilted estimator at the conjugate tilt"
     return SimResult(
         estimate=p,
         std_error=se,

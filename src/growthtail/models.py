@@ -217,9 +217,10 @@ class FeedbackPolicy:
     def as_arrays(self, d: int, m: int):
         gain = np.asarray(self.gain, dtype=float)
         intercept = np.asarray(self.intercept, dtype=float)
-        gain = np.full((d, m), float(gain)) if gain.size == 1 else gain.reshape(d, m)
+        # reshape(-1)[0]: float() refuses a size-1 array with ndim >= 1 under numpy 2
+        gain = np.full((d, m), gain.reshape(-1)[0]) if gain.size == 1 else gain.reshape(d, m)
         intercept = (
-            np.full(d, float(intercept)) if intercept.size == 1 else intercept.reshape(d)
+            np.full(d, intercept.reshape(-1)[0]) if intercept.size == 1 else intercept.reshape(d)
         )
         if not (np.all(np.isfinite(gain)) and np.all(np.isfinite(intercept))):
             raise ValueError("policy coefficients must be finite")
@@ -272,7 +273,6 @@ def bs_dual(model: BlackScholesModel, side: Side) -> DualCurve:
         deriv_at_zero=q,
         deriv_at_lower_limit=0.0,
         deriv_at_upper_limit=math.inf,
-        name=f"black-scholes-{side.name.lower()}",
     )
 
 
@@ -450,7 +450,6 @@ def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
         deriv_at_zero=model.B0**2 / (2.0 * s2)
         - model.gamma_norm**2 * model.B1**2 / (4.0 * s2 * model.K),
         deriv_at_upper_limit=math.inf,
-        name=f"linear-factor-{side.name.lower()}",
     )
 
 
@@ -484,7 +483,6 @@ def _pr_dual(model: PlatenRebolledo, side: Side) -> DualCurve:
         deriv_at_zero=upper,
         deriv_at_lower_limit=lower,
         deriv_at_upper_limit=math.inf,
-        name=f"ou-log-price-{side.name.lower()}",
     )
 
 

@@ -203,6 +203,7 @@ class TestRiccati:
 
     def test_scalar_model_rejected(self, model_file, capsys):
         assert main(["riccati", "--model", model_file(BS), "--grid", "0:0.4:3"]) == 2
+        assert "the riccati command needs a matrix model file" in capsys.readouterr().err
 
     def test_far_negative_tilt_is_quick(self, model_file, capsys, monkeypatch):
         # each tilt is solved on its own from the Hamiltonian's stable subspace,
@@ -370,6 +371,19 @@ class TestVerify:
         assert len(estimates) == 3
         assert rows["tilted_vs_direct_agreement"]["tilted"] == estimates[-1]
 
+    def test_unreachable_target_expects_zero_hits(self, model_file, capsys):
+        # below Lambda'(-inf) = 0 the all-cash policy keeps L = 0 > ell*T on every path
+        code, payload = run_json(
+            capsys,
+            ["verify", "--model", model_file(BS), "--side", "down", "--ell=-0.01",
+             "--paths", "500", "--horizon", "4", "--dt", "0.1"],
+        )
+        assert code == 0 and payload["passed"]
+        assert payload["rows"] == [
+            {"name": "unreachable_target_zero_hits", "passed": True, "estimate": 0.0, "v": "-inf"}
+        ]
+        assert payload["diagnostics"]["sim_runs"] == 1
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_diagnostics_count_the_simulated_work(self, model_file, capsys, fmt):
         # the fit's one run to T and the direct sample at T: n * (T + T) / dt path-steps
@@ -466,6 +480,12 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+    def test_horizon_grid_is_verify_only(self, model_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", model_file(BS), "--ell", "0.2", "--grid=1:2:3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid=1:2:3" in capsys.readouterr().err
 
     def test_missing_model_file(self, capsys):
         assert main(["dual", "--model", "/nonexistent.json", "--grid", "0:0.5:3"]) == 2

@@ -24,10 +24,12 @@ from growthtail import (
     lg1d_policy,
     policy_at_tilt,
     policy_for_target,
+    policy_md,
     pr_tilt,
     rate_fit,
     rate_for_target,
     simulate_paths,
+    solve_care,
     tilted_estimate_prob,
 )
 from growthtail import mc
@@ -480,6 +482,42 @@ class TestPathLaws:
         cfg = SimConfig(horizon=2.0, dt=0.1, n_paths=50, seed=4)
         with pytest.raises(NumericalBlowup):
             simulate_paths(bs, const_policy(1e200), cfg)
+
+
+class TestSizeOnePolicyArrays:
+    """Policies whose gain or intercept is an array of size 1, as policy_md gives for d = 1."""
+
+    def test_one_asset_matrix_policy_steps(self):
+        # d = 1, m = 2: policy_md's intercept has shape (1,); it must step the
+        # same paths as the same policy with a float intercept, direct and tilted
+        model = LinearFactorMD(
+            K=np.diag([-1.0, -2.0]),
+            B1=np.array([[0.3, -0.2]]),
+            B0=np.array([0.4]),
+            sigma=np.array([[0.5, 0.05, 0.0]]),
+            gamma=np.array([[0.1, 0.6, 0.0], [0.0, 0.0, 0.7]]),
+        )
+        theta = 0.2
+        policy = policy_md(model, theta, solve_care(model, theta))
+        assert policy.intercept.shape == (1,) and policy.gain.shape == (1, 2)
+        twin = FeedbackPolicy(gain=policy.gain, intercept=float(policy.intercept[0]))
+        cfg = SimConfig(horizon=2.0, dt=0.1, n_paths=300, seed=17)
+        direct = [simulate_paths(model, p, cfg) for p in (policy, twin)]
+        assert digest(direct[0].L) == digest(direct[1].L)
+        assert digest(direct[0].Y) == digest(direct[1].Y)
+        ell = float(np.median(direct[1].L)) / cfg.horizon
+        tilted = [tilted_estimate_prob(model, p, theta, ell, Side.UPSIDE, cfg) for p in (policy, twin)]
+        assert result_hexes(tilted[0], "ess") == result_hexes(tilted[1], "ess")
+
+    def test_m1_lift_as_arrays(self, lg_rho05):
+        # the m = 1 lift's policy has gain of shape (1, 1) and intercept of shape (1,)
+        market = lg_rho05.market()
+        lift = LinearFactorMD(market.K, market.B1, market.B0, market.sigma, market.gamma)
+        policy = policy_md(lift, -0.5, solve_care(lift, -0.5))
+        assert policy.gain.shape == (1, 1) and policy.intercept.shape == (1,)
+        gain, intercept = policy.as_arrays(1, 1)
+        assert hexes(gain) == hexes(policy.gain) and gain.shape == (1, 1)
+        assert hexes(intercept) == hexes(policy.intercept) and intercept.shape == (1,)
 
 
 class TestEstimateProb:
