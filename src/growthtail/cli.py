@@ -395,12 +395,13 @@ def cmd_verify(model, side: Side, args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, matrix: bool = False) -> None:
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--side", choices=("up", "down"), default="up")
+    if not matrix:
+        p.add_argument("--side", choices=("up", "down"), default="up")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(matrix=False)  # the model kind the command takes
+    p.set_defaults(matrix=matrix)  # the model kind the command takes
 
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
@@ -433,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_frontier)
 
     p = sub.add_parser("riccati", help="matrix Riccati sweep with certificates")
-    _add_common(p)
+    _add_common(p, matrix=True)
     p.add_argument("--grid", required=True, help="theta grid a:b:n")
-    p.set_defaults(fn=cmd_riccati, matrix=True)
+    p.set_defaults(fn=cmd_riccati)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate for one target or tilt")
     _add_common(p)
@@ -461,7 +462,7 @@ def main(argv=None) -> int:
                 "the riccati command needs a matrix model file" if args.matrix else
                 "this command needs a scalar model file; use the 'riccati' command for matrix models"
             )
-        payload, columns = args.fn(model, _side(args.side), args)
+        payload, columns = args.fn(model, None if args.matrix else _side(args.side), args)
         _write_output(payload, columns, args.format, args.out)
         return 0 if payload.get("passed", True) else 1
     except _CONFIG_ERRORS as exc:

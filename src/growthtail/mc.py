@@ -58,7 +58,8 @@ may round differently in the last bits.  A run to T/4 takes the first
 steps of a run to T on the same grid, so a decay-rate fit reads every
 such horizon from one run's state where the horizon ends: each row is
 bit-identical to a run of its own on substream 0, and the rows are
-correlated.
+correlated.  One run layer maps the model and policy to arrays and the
+horizons to step counts, and hands its state to a reader at each.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .duality import Side
 from .errors import DomainError, NumericalBlowup, WeightDegeneracy
-from .models import FactorMarket, FeedbackPolicy
+from .models import FeedbackPolicy
 
 __all__ = [
     "SimConfig",
@@ -268,24 +269,44 @@ def _sum_products(out: np.ndarray, tmp: np.ndarray, xs, ys) -> np.ndarray:
     return out
 
 
+def _end_step(cfg: SimConfig, horizon: float) -> Optional[int]:
+    """Step count at which a run on cfg reaches ``horizon``, None if it passes it by.
+
+    A run to ``horizon`` on cfg's step size must take the first steps of
+    cfg's run exactly; then it reads the same noise and its state equals
+    cfg's run's after that many steps.
+    """
+    steps = replace(cfg, horizon=horizon).steps()
+    return len(steps) if steps == cfg.steps()[: len(steps)] else None
+
+
 def _run_paths(
-    arrays: FactorMarket,
-    gain: np.ndarray,
-    intercept: np.ndarray,
+    model,
+    policy: FeedbackPolicy,
     cfg: SimConfig,
     theta_tilt: Optional[float] = None,
     CD=None,
     substream: int = 0,
-    marks: Collection[int] = (),
-    on_mark: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]] = None,
+    horizons: Sequence[float] = (),
+    read: Optional[Callable] = None,
 ):
-    """Step every path to cfg.horizon; returns the terminal (L, Y, logw).
+    """Step every path to cfg.horizon; returns the terminal (L, Y, logw) and the readings.
 
-    After each step count k in ``marks`` the state is checked for
-    non-finite values and handed to ``on_mark(k, L, Y, logw)``, with Y an
-    (n, m) view; later steps update those arrays in place.
+    Where each of ``horizons`` (each ending on the run's step grid) ends,
+    the state is checked for non-finite values and ``read(L, Y, logw, T)``
+    is called on it, with Y an (n, m) view; its return values come back in
+    the order of ``horizons``.  Later steps update those arrays in place,
+    so ``read`` copies what it keeps.
     """
+    arrays = model.market()
     d, m, q = arrays.dims
+    gain, intercept = policy.as_arrays(d, m)
+    ends = [_end_step(cfg, T) for T in horizons]
+    if None in ends:
+        T = horizons[ends.index(None)]
+        raise ValueError(f"horizon {T} does not end on the step grid of a run to {cfg.horizon}")
+    marks = frozenset(ends)
+    readings = [None] * len(ends)
     n = cfg.n_paths
     steps = cfg.steps()
     K, B1, B0, sigma, gamma = arrays.K, arrays.B1, arrays.B0, arrays.sigma, arrays.gamma
@@ -323,7 +344,6 @@ def _run_paths(
         queued = {i: pool.submit(fill, spans[i], bufs[i]) for i in range(1, len(bufs))}
         drawn = Future()  # stands for a handoff this thread drew
         drawn.set_result(None)
-    marks = frozenset(marks)
     try:
         # a blow-up is reported by the finiteness check, not by a numpy warning first
         with np.errstate(over="ignore", invalid="ignore"):
@@ -402,7 +422,9 @@ def _run_paths(
                             time=t,
                         )
                 if k + 1 in marks:
-                    on_mark(k + 1, L, Y.T, logw)
+                    for i, end in enumerate(ends):
+                        if end == k + 1:
+                            readings[i] = read(L, Y.T, logw, horizons[i])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -410,46 +432,7 @@ def _run_paths(
     if stats is not None:
         stats.sim_runs += 1
         stats.path_steps += n * len(steps)
-    return L, np.ascontiguousarray(Y.T), logw
-
-
-def _end_step(cfg: SimConfig, horizon: float) -> Optional[int]:
-    """Step count at which a run on cfg reaches ``horizon``, None if it passes it by.
-
-    A run to ``horizon`` on cfg's step size must take the first steps of
-    cfg's run exactly; then it reads the same noise and its state equals
-    cfg's run's after that many steps.
-    """
-    steps = replace(cfg, horizon=horizon).steps()
-    return len(steps) if steps == cfg.steps()[: len(steps)] else None
-
-
-def _marked_run(model, policy, cfg, substream, horizons, read, theta_tilt=None, CD=None):
-    """One run to cfg.horizon; returns its terminal (L, Y, logw) and a reading at each horizon.
-
-    ``read(L, Y, logw, T)`` sees the live state where horizon T ends; the
-    run goes on to update those arrays in place, so ``read`` copies what
-    it keeps.
-    """
-    arrays = model.market()
-    d, m, _ = arrays.dims
-    gain, intercept = policy.as_arrays(d, m)
-    ends = [_end_step(cfg, T) for T in horizons]
-    if None in ends:
-        T = horizons[ends.index(None)]
-        raise ValueError(f"horizon {T} does not end on the step grid of a run to {cfg.horizon}")
-    readings = {}
-
-    def on_mark(k, L, Y, logw):
-        for i, end in enumerate(ends):
-            if end == k:
-                readings[i] = read(L, Y, logw, horizons[i])
-
-    final = _run_paths(
-        arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream,
-        marks=ends, on_mark=on_mark,
-    )
-    return final, [readings[i] for i in range(len(ends))]
+    return (L, np.ascontiguousarray(Y.T), logw), readings
 
 
 def simulate_paths(
@@ -470,7 +453,9 @@ def simulate_paths(
     def keep(L, Y, logw, T):
         return PathSample(L=L.copy(), Y=Y.copy(), horizon=float(T))
 
-    (L, Y, _), earlier = _marked_run(model, policy, cfg, substream, horizons, keep)
+    (L, Y, _), earlier = _run_paths(
+        model, policy, cfg, substream=substream, horizons=horizons, read=keep
+    )
     return PathSample(L=L, Y=Y, horizon=cfg.horizon, earlier=tuple(earlier))
 
 
@@ -547,26 +532,6 @@ def estimate_log_laplace(sample: PathSample, theta: float) -> SimResult:
     )
 
 
-def _tilted_result(
-    L: np.ndarray, logw: np.ndarray, horizon: float, target: float, side: Side, theta_tilt: float
-) -> SimResult:
-    """Self-normalized tail estimate from the state of a tilted run at ``horizon``."""
-    ind = _tail_indicator(L, horizon, target, side).astype(float)
-    w = np.exp(logw - logw.max())
-    wsum = float(w.sum())
-    p = float(w @ ind) / wsum
-    se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
-    n = L.shape[0]
-    ess = _ess(w, "tilted")
-    return SimResult(
-        estimate=p,
-        std_error=se,
-        n_paths=n,
-        log_estimate=math.log(p) if p > 0 else None,
-        extras={"ess": ess, "theta_tilt": theta_tilt},
-    )
-
-
 def tilted_estimate_prob(
     model,
     policy: FeedbackPolicy,
@@ -613,12 +578,26 @@ def tilted_estimate_prob(
         ) from None
 
     def estimate(L, Y, logw, T):
-        return _tilted_result(L, logw, float(T), target, side, theta_tilt)
+        """Self-normalized tail estimate from the state of the tilted run at horizon T."""
+        ind = _tail_indicator(L, float(T), target, side).astype(float)
+        w = np.exp(logw - logw.max())
+        wsum = float(w.sum())
+        p = float(w @ ind) / wsum
+        se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
+        ess = _ess(w, "tilted")
+        return SimResult(
+            estimate=p,
+            std_error=se,
+            n_paths=L.shape[0],
+            log_estimate=math.log(p) if p > 0 else None,
+            extras={"ess": ess, "theta_tilt": theta_tilt},
+        )
 
-    (L, _, logw), earlier = _marked_run(
-        model, policy, cfg, substream, horizons, estimate, theta_tilt=theta_tilt, CD=CD
+    (L, Y, logw), earlier = _run_paths(
+        model, policy, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream,
+        horizons=horizons, read=estimate,
     )
-    res = estimate(L, None, logw, cfg.horizon)
+    res = estimate(L, Y, logw, cfg.horizon)
     if earlier:
         res.extras["earlier"] = tuple(earlier)
     return res

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -205,6 +207,13 @@ class TestRiccati:
         assert main(["riccati", "--model", model_file(BS), "--grid", "0:0.4:3"]) == 2
         assert "the riccati command needs a matrix model file" in capsys.readouterr().err
 
+    def test_side_rejected(self, model_file, capsys):
+        # a sweep covers tilts of both signs; riccati has no side to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["riccati", "--model", model_file(MD2), "--side", "down", "--grid=-0.5:0:6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --side down" in capsys.readouterr().err
+
     def test_far_negative_tilt_is_quick(self, model_file, capsys, monkeypatch):
         # each tilt is solved on its own from the Hamiltonian's stable subspace,
         # so a far-negative tilt costs one Newton solve like any other
@@ -304,6 +313,20 @@ class TestVerify:
         )
         assert code == 0 and payload["passed"]
 
+    def test_theta_mode_with_fixed_fraction_reads_exact_value(self, model_file, capsys):
+        # with --pi on Black-Scholes the reference is the closed form at that fraction
+        code, payload = run_json(
+            capsys,
+            [
+                "verify", "--model", model_file(BS), "--theta", "0.3", "--pi", "2",
+                "--paths", "2000", "--horizon", "4", "--dt", "0.1",
+            ],
+        )
+        assert code == 0
+        (row,) = payload["rows"]
+        assert row["exact_reference"] is True
+        assert row["dual_value"] == models.bs_gamma(models.model_from_dict(BS), 0.3, 2.0)
+
     def test_wrong_policy_flags_suboptimality(self, model_file, capsys):
         code, payload = run_json(
             capsys,
@@ -352,7 +375,7 @@ class TestVerify:
 
         def recording(*args, **kwargs):
             tilted = kwargs.get("theta_tilt") is not None
-            runs.append((tilted, kwargs.get("substream", 0), args[3].horizon))
+            runs.append((tilted, kwargs.get("substream", 0), args[2].horizon))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mc, "_run_paths", recording)
@@ -486,6 +509,18 @@ class TestExitCodes:
             main(["simulate", "--model", model_file(BS), "--ell", "0.2", "--grid=1:2:3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid=1:2:3" in capsys.readouterr().err
+
+    def test_frontier_needs_a_target(self, model_file, capsys):
+        assert main(["frontier", "--model", model_file(BS)]) == 2
+        assert capsys.readouterr().err == "config error: frontier needs --grid or --ell\n"
+
+    def test_module_runs_as_a_script(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "growthtail.cli", "--help"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: growthtail")
 
     def test_missing_model_file(self, capsys):
         assert main(["dual", "--model", "/nonexistent.json", "--grid", "0:0.5:3"]) == 2
@@ -729,8 +764,9 @@ def cli_argvs(draw):
     fit = MATRIX_RECORDS if command == "riccati" else SCALAR_RECORDS
     misfit = [*BAD_RECORDS, "missing-file", "not-json",
               *(SCALAR_RECORDS if command == "riccati" else MATRIX_RECORDS)]
-    argv = [command, "--model", _pick(draw, (sorted(fit), misfit)),
-            "--side", draw(st.sampled_from(["up", "down"]))]
+    argv = [command, "--model", _pick(draw, (sorted(fit), misfit))]
+    if command != "riccati":
+        argv += ["--side", draw(st.sampled_from(["up", "down"]))]
     grid = ":".join([_pick(draw, GRID_BOUNDS), _pick(draw, GRID_BOUNDS), _pick(draw, GRID_SIZES)])
     if command in ("dual", "riccati"):
         return argv + [f"--grid={grid}"]

@@ -134,13 +134,8 @@ def inline_run_paths(model, policy, cfg, theta_tilt=None, substream=0):
 
 
 def prefetched_run_paths(model, policy, cfg, theta_tilt=None, substream=0):
-    arrays = model.market()
-    d, m, _ = arrays.dims
-    gain, intercept = policy.as_arrays(d, m)
     CD = model.quadratic_pair(theta_tilt) if theta_tilt is not None else None
-    return mc._run_paths(
-        arrays, gain, intercept, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream
-    )
+    return mc._run_paths(model, policy, cfg, theta_tilt=theta_tilt, CD=CD, substream=substream)[0]
 
 
 def run_bounded(fn, timeout=120.0) -> dict:
@@ -667,6 +662,12 @@ class TestChebyshev:
         bogus = np.full(cfg.n_paths, 1e-12)
         assert not empirical_chebyshev_check(sample, 2.0 / 7.0, 0.245, weights=bogus)
 
+    def test_no_hit_holds(self, bs):
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=500, seed=51)
+        sample = simulate_paths(bs, const_policy(3.0), cfg)
+        assert not np.any(sample.L >= 100.0 * cfg.horizon)
+        assert empirical_chebyshev_check(sample, 0.5, 100.0)
+
     def test_negative_theta_rejected(self, bs):
         cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=100, seed=54)
         sample = simulate_paths(bs, const_policy(3.0), cfg)
@@ -741,7 +742,7 @@ class TestRateFit:
         original = mc._run_paths
 
         def counting(*args, **kwargs):
-            runs.append((args[3].horizon, kwargs.get("substream", 0)))
+            runs.append((args[2].horizon, kwargs.get("substream", 0)))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mc, "_run_paths", counting)
@@ -762,6 +763,12 @@ class TestRateFit:
             simulate_paths(bs, const_policy(2.5), cfg, horizons=[1.05])
         with pytest.raises(ValueError, match="step grid"):
             tilted_estimate_prob(bs, const_policy(2.5), 0.2, 0.2, Side.UPSIDE, cfg, horizons=[1.05])
+
+    def test_fewer_than_two_positive_estimates_raise(self, bs):
+        # direct estimates of a target far past pi's mean growth rate hit nothing
+        cfg = SimConfig(horizon=4.0, dt=0.1, n_paths=200, seed=5)
+        with pytest.raises(WeightDegeneracy, match="fewer than 2 horizons"):
+            rate_fit(bs, const_policy(2.5), 2.0, Side.UPSIDE, [1.0, 2.0, 4.0], cfg)
 
     def test_requires_three_horizons(self, bs):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=63)
