@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -415,6 +416,7 @@ def _add_sim_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tilt", default="auto", help="'auto' or an explicit tilt value")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="growthtail",

@@ -9,9 +9,10 @@ tail probabilities by Fenchel-Legendre conjugation:
     downside v-(l) = inf_{theta <= 0}              [Lambda(theta) - theta*l]
 
 Because Lambda is convex, the infimum is located by solving the monotone
-first-order condition Lambda'(theta) = l with bisection.  The engine only
-needs point evaluations of the curve (a finite-difference derivative is
-used when the model supplies none), so it works for black-box curves.
+first-order condition Lambda'(theta) = l with a bracketed Brent-Dekker
+search, which reads only Lambda'.  The engine needs only point evaluations
+of the curve (a finite-difference derivative is used when the model
+supplies none), so it works for black-box curves.
 The two sides are one search: with mu(s) = Lambda(-s), the downside rate
 of Lambda at l is the upside rate of mu at -l, so a downside curve is
 searched as its mirror (see :class:`DualCurve`).
@@ -286,19 +287,26 @@ class DualCurve:
 
 
 def solve_tilt(curve: DualCurve, target: float) -> float:
-    """Solve Lambda'(theta) = target by bisection on the monotone derivative.
+    """Solve Lambda'(theta) = target by a bracketed Brent-Dekker search on the monotone derivative.
 
     The target must lie strictly between the derivative limits at the
     domain endpoints; otherwise, and for a target that is not finite,
     TargetOutOfRange is raised.  BracketFailure signals that the expanding
     search interval never bracketed the target (a non-steep curve, or
     inconsistent curve data).  Both sides share one bracket search, on the
-    curve's mirror mu'(s) = sign*target.
+    curve's mirror mu'(s) = sign*target: its left end is s = 0, where the
+    slope is the known Lambda'(0); an infinite reach is doubled from s = 1,
+    each probe that falls short becoming the new left end.
 
-    The bisection stops when its interval can shrink no further in floating
-    point, or at 1e-16 relative width: about 53 halvings of a bracket of
-    width 1.  The midpoint is returned when its derivative is within 1e-10
-    (relative past 1) of the target; otherwise BracketFailure is raised.
+    Inside the bracket each step is inverse quadratic or secant
+    interpolation of the slope, or the midpoint when interpolation would
+    not shrink the bracket faster than bisection (Brent 1973).  It needs
+    only Lambda', so black-box curves take the same path.  The search stops
+    when the interval can shrink no further in floating point, or at 1e-16
+    relative width, or at a tilt whose derivative equals the target.  The
+    endpoint whose derivative is nearer the target is returned when that
+    derivative is within 1e-10 (relative past 1) of the target; otherwise
+    BracketFailure is raised.  No step evaluates the returned tilt again.
     """
     ell = float(target)
     if not math.isfinite(ell):
@@ -314,45 +322,77 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
     if aim >= curve._far_slope:
         far = "above the boundary derivative limit" if up else "below the derivative limit at -inf"
         raise TargetOutOfRange(f"target {ell} at or {far} ({sign * curve._far_slope})")
-    lo = 1e-12 * min(reach, 1.0)
+    # g(s) = mu'(s) - aim is nondecreasing, g(lo) < 0 < g(hi)
+    lo, g_lo = 0.0, sign * d0 - aim
     if math.isfinite(reach):
         hi = reach * (1.0 - _BOUNDARY_CLAMP)
-        if curve._slope(hi) <= aim:
+        g_hi = curve._slope(hi) - aim
+        if g_hi <= 0.0:
             raise BracketFailure(f"derivative never exceeds target {ell} inside the domain")
     else:
         hi = 1.0
         for _ in range(_MAX_BRACKET_DOUBLINGS):
-            if curve._slope(hi) > aim:
+            g_hi = curve._slope(hi) - aim
+            if g_hi > 0.0:
                 break
+            lo, g_lo = hi, g_hi
             hi *= 2.0
         else:
             raise BracketFailure(
                 f"derivative never {'exceeds' if up else 'falls below'} target {ell} "
                 f"{'up' if up else 'down'} to theta={sign * hi}"
             )
-    lo, hi = sorted((sign * lo, sign * hi))
 
-    # Bisection in theta on the nondecreasing derivative, run until no float lies
-    # strictly inside the interval (or it is 1e-16 wide relative), so the tilt
-    # itself is resolved, not just the target.
+    # Brent-Dekker: b is the best point, c the last point where g has the other
+    # sign, a the previous b.  A step interpolates g^-1 through (a, b, c), or
+    # along the chord when a == c, if that lands inside and shrinks faster than
+    # bisection would; otherwise it goes to the midpoint of [b, c].  A step
+    # shorter than the float spacing at b moves b one float toward c, so the
+    # bracket closes onto adjacent floats and the tilt itself is resolved, not
+    # just the target.  A NaN or infinite slope fails every interpolation test,
+    # so the next step bisects.
+    a, g_a, b, g_b = lo, g_lo, hi, g_hi
+    c, g_c = a, g_a
+    d = e = b - a
     while True:
+        if (g_b < 0.0) == (g_c < 0.0):  # a NaN slope counts as past the target
+            c, g_c = a, g_a
+            d = e = b - a
+        if abs(g_c) < abs(g_b):  # b is the best point so far
+            a, g_a, b, g_b, c, g_c = b, g_b, c, g_c, b, g_b
+        lo, hi = min(b, c), max(b, c)
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # every later step would evaluate this endpoint again
-        if curve.deriv(mid) < ell:
-            lo = mid
+        if not lo < mid < hi or hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+            break  # every later step would evaluate an endpoint again
+        m = 0.5 * (c - b)
+        tol = abs(math.nextafter(b, c) - b)
+        if abs(e) >= tol and abs(g_a) > abs(g_b):
+            r3 = g_b / g_a
+            if a == c:  # secant
+                p, q = 2.0 * m * r3, 1.0 - r3
+            else:  # inverse quadratic
+                r1, r2 = g_a / g_c, g_b / g_c
+                p = r3 * (2.0 * m * r1 * (r1 - r2) - (b - a) * (r2 - 1.0))
+                q = (r1 - 1.0) * (r2 - 1.0) * (r3 - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-            break
-    mid = 0.5 * (lo + hi)
-    residual = curve.deriv(mid) - ell
+            d = e = m
+        a, g_a = b, g_b
+        b = b + d if abs(d) > tol else math.nextafter(b, c)
+        g_b = curve._slope(b) - aim
+        if g_b == 0.0:
+            return sign * b
+    theta, residual = sign * b, sign * g_b
     # written so that a NaN residual fails too
     if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)):
         raise BracketFailure(
-            f"bisection stalled at theta={mid} with derivative residual {residual:.3e}"
+            f"bisection stalled at theta={theta} with derivative residual {residual:.3e}"
         )
-    return mid
+    return theta
 
 
 def conjugate_upside(curve: DualCurve, target: float) -> RateValue:

@@ -16,7 +16,8 @@ with ``quadratic_pair(theta)``; the Monte-Carlo engine needs nothing else.
   root stabilizes the closed-loop factor drift and is ever used.  One
   per-tilt solve computes that root, its stability check and the linear
   coefficient ``D`` once; the curve value, the policy and
-  ``quadratic_pair`` each call it once.
+  ``quadratic_pair`` each call it once.  The curve's derivative is a
+  closed form of its own, a sum of two squares.
 * :class:`PlatenRebolledo` -- log-price follows the OU factor itself: the
   scalar factor model with ``B1 = K``, ``B0 = |gamma|^2/2``,
   ``gamma = sigma``, ``rho = 1``.  Its dual curve carries the closed-form
@@ -263,7 +264,8 @@ def bs_dual(model: BlackScholesModel, side: Side) -> DualCurve:
         return q * theta / (1.0 - theta)
 
     def deriv(theta: float) -> float:
-        return q / (1.0 - theta) ** 2
+        # a product, not ** 2: it overflows to inf (slope 0) below theta = -1e154
+        return q / ((1.0 - theta) * (1.0 - theta))
 
     return DualCurve(
         side,
@@ -362,6 +364,8 @@ def _lg1d_quadratic(model: LinearFactor1D, theta: float) -> tuple[float, float, 
         disc = 0.0
     u = 1.0 - theta * (1.0 - model.rho * a)
     w = 1.0 - theta * (1.0 - model.rho**2)
+    if disc == math.inf:  # the product overflows below theta = -1e154; its square root does not
+        return theta_bar, u, w, math.sqrt(1.0 - theta) * math.sqrt(1.0 - theta * beta)
     return theta_bar, u, w, math.sqrt(disc)
 
 
@@ -428,27 +432,73 @@ def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
     return value
 
 
+def _lg1d_slope(model: LinearFactor1D, theta: float) -> float:
+    """Gamma'(theta) in closed form, for -inf < theta < theta_bar.
+
+    Differentiating Gamma through the Riccati equation for C and the linear
+    equation for D, whose common coefficient is the closed-loop drift
+    K sqrt(disc)/(1-theta) < 0, leaves two nonnegative squares:
+
+        Gamma' = (B0/|sigma|)^2 / (2 (1-theta*beta)^2) + |K| n^2 / (4 q w^2)
+
+    with q = sqrt((1-theta)/(1-theta*beta)), w = 1 - theta(1-rho^2),
+    n = rho + (abar-rho) q and abar = |gamma| B1/(K |sigma|).  Where rho and
+    (abar-rho) q have opposite signs, n is taken from
+    n (rho - (abar-rho) q) = abar (2 rho - abar) w/(1-theta*beta); where they
+    have the same sign, n^2/q is split as 4 rho (abar-rho) + (rho - (abar-rho) q)^2/q,
+    whose second term comes from the same identity.  No difference of
+    nearly equal terms is left, and every product stays finite down to
+    theta = -1e300.
+    """
+    _check_tilt(theta)
+    a, beta, theta_bar = _lg1d_domain(model)
+    if not theta < theta_bar:
+        raise DomainError(f"theta={theta} must be below theta_bar={theta_bar}")
+    rho, ra = model.rho, model.rho * (a - model.rho)
+    ob = 1.0 - theta * beta
+    w = 1.0 - theta * (1.0 - rho**2)
+    q = math.sqrt(1.0 - theta) / math.sqrt(ob)
+    if ra < 0.0:
+        n = a * (2.0 * rho - a) * (w / ob) / (rho - (a - rho) * q)
+        n2q = n * n / q
+    elif ra > 0.0:
+        v = a * (2.0 * rho - a) * (w / ob) / (rho + (a - rho) * q)
+        n2q = 4.0 * ra + v * v / q
+    else:
+        n2q = (rho + (a - rho) * q) ** 2 / q
+    b = model.B0 / model.sigma_norm
+    return 0.5 * b * b / ob / ob - 0.25 * model.K * (n2q / w) / w
+
+
 def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
-    """Dual curve for the factor model, with finite-difference derivative.
+    """Dual curve for the factor model, with the closed-form derivative of ``_lg1d_slope``.
 
     Gamma'(0), the stationary mean growth rate of the log-optimal policy,
     is the closed form B0^2/(2|sigma|^2) - |gamma|^2 B1^2/(4|sigma|^2 K).
-    No closed form for Gamma' is used away from 0; the curve is smooth and
-    steep at theta_bar, so the central difference with adaptive step is
-    accurate wherever the conjugation engine probes it.
+    The curve is steep at theta_bar.  When beta > 0, Gamma'(-inf) is 0 for
+    |rho| < 1 and |K| max(0, rho*abar - 1) for |rho| = 1; the beta = 0 family
+    (log-price an OU process, given as a plain LinearFactor1D) is probed.
     """
-    _, theta_bar = lg1d_beta_thetabar(model)
+    a, beta, theta_bar = _lg1d_domain(model)
     s2 = model.sigma_norm**2
+    lower = None
+    if beta > 0.0:
+        lower = -model.K * max(0.0, model.rho * a - 1.0) if model.rho**2 == 1.0 else 0.0
 
     def evaluate(theta: float) -> float:
         return lg1d_gamma(model, theta)
 
+    def deriv(theta: float) -> float:
+        return _lg1d_slope(model, theta)
+
     return DualCurve(
         side,
         evaluate,
+        deriv=deriv,
         theta_bar=theta_bar,
         deriv_at_zero=model.B0**2 / (2.0 * s2)
         - model.gamma_norm**2 * model.B1**2 / (4.0 * s2 * model.K),
+        deriv_at_lower_limit=lower,
         deriv_at_upper_limit=math.inf,
     )
 

@@ -84,19 +84,42 @@ class TestDual:
         # the grid's values and derivatives, each evaluated once and shared
         # with the convexity check, and Lambda(0); no limit of the curve is
         # read, so none is probed
-        calls = []
-        original = models.lg1d_gamma
+        calls = {"lg1d_gamma": 0, "_lg1d_slope": 0}
+        for name in calls:
+            original = getattr(models, name)
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(models, "lg1d_gamma", counting)
+            monkeypatch.setattr(models, name, counting)
         code, _, _ = run_csv(
             capsys, ["dual", "--model", model_file(LG05), "--side", "down", "--grid=-2:0:5"]
         )
         assert code == 0
-        assert len(calls) == 17
+        assert calls == {"lg1d_gamma": 6, "_lg1d_slope": 5}
+
+    @pytest.mark.parametrize("record", [BS, LG05], ids=["bs", "factor"])
+    def test_deep_tilt_row_is_finite(self, model_file, capsys, record):
+        # the closed forms' products stay finite at theta = -1e300
+        code, rows, _ = run_csv(
+            capsys,
+            ["dual", "--model", model_file(record), "--side", "down", "--grid=-1e300:-1e300:1"],
+        )
+        assert code == 0
+        assert all(math.isfinite(float(rows[0][k])) for k in ("theta", "lambda", "lambda_prime"))
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        # one parser serves every call; a parse leaves nothing behind for the next
+        assert cli.build_parser() is cli.build_parser()
+        a = cli.build_parser().parse_args(["dual", "--model", "m.json", "--grid", "0:1:2"])
+        b = cli.build_parser().parse_args(
+            ["frontier", "--model", "m.json", "--side", "down", "--ell", "0.2"]
+        )
+        assert (a.side, a.grid, a.fn) == ("up", "0:1:2", cli.cmd_dual)
+        assert (b.side, b.grid, b.ell, b.fn) == ("down", None, 0.2, cli.cmd_frontier)
 
 
 class TestFrontier:

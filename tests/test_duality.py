@@ -197,13 +197,48 @@ class TestLimitsOnFirstRead:
         assert curve.steep  # the upper limit is probed on this first read
         assert calls
 
-    def test_lower_limit_probed_once(self, gamma_calls):
-        curve = models.dual_curve(self.MODELS[1], Side.DOWNSIDE)
+    @pytest.fixture
+    def slope_calls(self, monkeypatch):
+        calls = []
+        original = models._lg1d_slope
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(models, "_lg1d_slope", counting)
+        return calls
+
+    def test_lower_limit_probed_once(self, slope_calls):
+        # beta = 0 (log-price an OU process, as a plain LinearFactor1D): the
+        # one scalar factor curve whose far limit is probed
+        curve = models.dual_curve(PlatenRebolledo(K=-0.5, sigma_norm=0.2).as_linear_factor(),
+                                  Side.DOWNSIDE)
         first = curve.deriv_at_lower_limit
-        n = len(gamma_calls)
+        n = len(slope_calls)
         assert n > 0
+        assert first == pytest.approx(0.2**2 / 8.0, rel=1e-6)  # pr_bounds' ell_lower
         assert curve.deriv_at_lower_limit == first
-        assert len(gamma_calls) == n
+        assert len(slope_calls) == n
+
+    @pytest.mark.parametrize(
+        "model, limit",
+        [
+            (MODELS[1], 0.0),
+            # |rho| = 1 and rho*abar = 2 > 1: the limit is |K| (rho*abar - 1)
+            (LinearFactor1D(K=-1.0, B1=-2.0, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=1.0),
+             1.0),
+            (LinearFactor1D(K=-1.0, B1=0.5, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=1.0),
+             0.0),
+        ],
+        ids=["rho-below-one", "rho-one-steep-loading", "rho-one"],
+    )
+    def test_lower_limit_in_closed_form(self, slope_calls, gamma_calls, model, limit):
+        curve = models.dual_curve(model, Side.DOWNSIDE)
+        assert curve.deriv_at_lower_limit == limit
+        assert slope_calls == [] and gamma_calls == []
+        # the slope approaches it as 1/theta^2
+        assert curve.deriv(-(2.0**40)) == pytest.approx(limit, abs=1e-11)
 
 
 class TestNaNTarget:
@@ -415,63 +450,63 @@ class TestCurveChecks:
 
 # (curve, side, hex Lambda'(0), hex far limit, [(hex target, regime, hex tilt, hex rate)]):
 # the targets are literals, so the rows pin the limits, the bracket and the
-# bisection bit for bit on both sides.
+# search bit for bit on both sides.
 PIN = [
     ("bs", "up", "0x1.0000000000000p-3", "inf", [
         ("0x1.0000000000000p-4", "free", None, "0x0.0p+0"),
         ("0x1.0000000000000p-3", "free", None, "0x0.0p+0"),
-        ("0x1.0cccccccccccdp-3", "interior", "0x1.8ada6ba169072p-6", "-0x1.3fbc40c52bd00p-14"),
-        ("0x1.8000000000000p-3", "interior", "0x1.77d0a3fcf4f05p-3", "-0x1.9dc7afdb7b464p-8"),
-        ("0x1.8000000000000p-2", "interior", "0x1.b0cb174df99c6p-2", "-0x1.126145e9ecd55p-4"),
+        ("0x1.0cccccccccccdp-3", "interior", "0x1.8ada6ba169075p-6", "-0x1.3fbc40c52bd00p-14"),
+        ("0x1.8000000000000p-3", "interior", "0x1.77d0a3fcf4f08p-3", "-0x1.9dc7afdb7b460p-8"),
+        ("0x1.8000000000000p-2", "interior", "0x1.b0cb174df99c7p-2", "-0x1.126145e9ecd55p-4"),
         ("0x1.0000000000000p+0", "interior", "0x1.4afb0ccc0621ap-1", "-0x1.abec333018867p-2"),
     ]),
     ("bs", "down", "0x1.0000000000000p-3", "0x0.0p+0", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
         ("0x1.999999999999ap-8", "interior", "-0x1.bc6ef372fe94ep+1", "-0x1.34a06b6b9a2acp-4"),
-        ("0x1.0000000000000p-4", "interior", "-0x1.a827999fcef32p-2", "-0x1.5f619980c4338p-7"),
-        ("0x1.e666666666666p-4", "interior", "-0x1.a9a11b27057e0p-6", "-0x1.502326bb7ed80p-14"),
+        ("0x1.0000000000000p-4", "interior", "-0x1.a827999fcef33p-2", "-0x1.5f619980c4336p-7"),
+        ("0x1.e666666666666p-4", "interior", "-0x1.a9a11b27057efp-6", "-0x1.502326bb7ed80p-14"),
     ]),
     ("lg_rho0", "up", "0x1.8000000000000p-2", "inf", [
         ("0x1.8000000000000p-3", "free", None, "0x0.0p+0"),
         ("0x1.8000000000000p-2", "free", None, "0x0.0p+0"),
-        ("0x1.9333333333334p-2", "interior", "0x1.068424ee50618p-6", "-0x1.3f26fd874a460p-13"),
-        ("0x1.2000000000000p-1", "interior", "0x1.e916c8fe5f336p-4", "-0x1.9719cf15a89e0p-7"),
-        ("0x1.2000000000000p+0", "interior", "0x1.0c8ba09322beap-2", "-0x1.05204345fae85p-3"),
-        ("0x1.8000000000000p+1", "interior", "0x1.7fae730981a6ep-2", "-0x1.81e8d94290440p-1"),
+        ("0x1.9333333333334p-2", "interior", "0x1.068424ed29538p-6", "-0x1.3f26fd874a920p-13"),
+        ("0x1.2000000000000p-1", "interior", "0x1.e916c8fe69d72p-4", "-0x1.9719cf15a89e0p-7"),
+        ("0x1.2000000000000p+0", "interior", "0x1.0c8ba0930aebbp-2", "-0x1.05204345fae85p-3"),
+        ("0x1.8000000000000p+1", "interior", "0x1.7fae73098961ap-2", "-0x1.81e8d94290442p-1"),
     ]),
-    ("lg_rho0", "down", "0x1.8000000000000p-2", "0x1.aa0631e000000p-37", [
+    ("lg_rho0", "down", "0x1.8000000000000p-2", "0x0.0p+0", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
-        ("0x1.333333365ca56p-6", "interior", "-0x1.4374d66236740p+1", "-0x1.4767e903df41fp-3"),
-        ("0x1.800000003540dp-3", "interior", "-0x1.24581dca8f214p-2", "-0x1.673f0b17d8dc4p-6"),
-        ("0x1.6ccccccccf767p-2", "interior", "-0x1.1c8df4b2452e0p-6", "-0x1.50c50dda67540p-13"),
+        ("0x1.333333365ca56p-6", "interior", "-0x1.4374d660e225ap+1", "-0x1.4767e903df422p-3"),
+        ("0x1.800000003540dp-3", "interior", "-0x1.24581dcac949ap-2", "-0x1.673f0b17d8dc2p-6"),
+        ("0x1.6ccccccccf767p-2", "interior", "-0x1.1c8df4a9b60c7p-6", "-0x1.50c50dda679c0p-13"),
     ]),
     ("lg_rho05", "up", "0x1.3117cf1e214a8p-2", "inf", [
         ("0x1.3117cf1e214a8p-3", "free", None, "0x0.0p+0"),
         ("0x1.3117cf1e214a8p-2", "free", None, "0x0.0p+0"),
-        ("0x1.4058ffdfa2f4ap-2", "interior", "0x1.a44e78645fabep-7", "-0x1.96005454edb40p-14"),
-        ("0x1.c9a3b6ad31efcp-2", "interior", "0x1.874c380ec2046p-4", "-0x1.02d1548a9d834p-7"),
-        ("0x1.c9a3b6ad31efcp-1", "interior", "0x1.adfeed8bcb52cp-3", "-0x1.4c0be07b2a297p-4"),
-        ("0x1.3117cf1e214a8p+1", "interior", "0x1.342f5c3a7071ep-2", "-0x1.ebb1fd979b4cdp-2"),
+        ("0x1.4058ffdfa2f4ap-2", "interior", "0x1.a44e786022f50p-7", "-0x1.96005454eef80p-14"),
+        ("0x1.c9a3b6ad31efcp-2", "interior", "0x1.874c380fd4338p-4", "-0x1.02d1548a9d840p-7"),
+        ("0x1.c9a3b6ad31efcp-1", "interior", "0x1.adfeed8be9561p-3", "-0x1.4c0be07b2a296p-4"),
+        ("0x1.3117cf1e214a8p+1", "interior", "0x1.342f5c3a7ec18p-2", "-0x1.ebb1fd979b4cbp-2"),
     ]),
-    ("lg_rho05", "down", "0x1.3117cf1e214a8p-2", "0x1.c41ade6400000p-36", [
+    ("lg_rho05", "down", "0x1.3117cf1e214a8p-2", "0x0.0p+0", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
-        ("0x1.e826183da1437p-7", "interior", "-0x1.066d27e72486ap+1", "-0x1.a3985e5da1d88p-4"),
-        ("0x1.3117cf1e92514p-3", "interior", "-0x1.d56b8a0102567p-3", "-0x1.c9cc885901004p-7"),
-        ("0x1.21d69e5ca5472p-2", "interior", "-0x1.c7b7e14bde4ecp-7", "-0x1.ac7e09f761200p-14"),
+        ("0x1.e826183da1437p-7", "interior", "-0x1.066d27e1feffep+1", "-0x1.a3985e5da1d88p-4"),
+        ("0x1.3117cf1e92514p-3", "interior", "-0x1.d56b8a01586b6p-3", "-0x1.c9cc885900ff8p-7"),
+        ("0x1.21d69e5ca5472p-2", "interior", "-0x1.c7b7e15ab322bp-7", "-0x1.ac7e09f75fd80p-14"),
     ]),
     ("black_box_bs", "up", "0x1.fffffffffb9a1p-4", "inf", [
         ("0x1.fffffffffb9a1p-5", "free", None, "0x0.0p+0"),
         ("0x1.fffffffffb9a1p-4", "free", None, "0x0.0p+0"),
-        ("0x1.0cccccccca7dbp-3", "interior", "0x1.8ada6ba0f3752p-6", "-0x1.3fbc40c4b9da0p-14"),
-        ("0x1.7ffffffffcb39p-3", "interior", "0x1.77d0a3fcfdd7fp-3", "-0x1.9dc7afdb67e74p-8"),
-        ("0x1.7ffffffffcb39p-2", "interior", "0x1.b0cb174e2f374p-2", "-0x1.126145e9e741cp-4"),
-        ("0x1.fffffffffb9a1p-1", "interior", "0x1.4afb0ccbf3c1cp-1", "-0x1.abec333012d6bp-2"),
+        ("0x1.0cccccccca7dbp-3", "interior", "0x1.8ada6ba0db888p-6", "-0x1.3fbc40c4b9da0p-14"),
+        ("0x1.7ffffffffcb39p-3", "interior", "0x1.77d0a3fcd9aa4p-3", "-0x1.9dc7afdb67e78p-8"),
+        ("0x1.7ffffffffcb39p-2", "interior", "0x1.b0cb174e20a3dp-2", "-0x1.126145e9e741dp-4"),
+        ("0x1.fffffffffb9a1p-1", "interior", "0x1.4afb0ccbf3c1dp-1", "-0x1.abec333012d6bp-2"),
     ]),
     ("black_box_bs", "down", "0x1.fffffffffb9a5p-4", "0x1.fffbc0ba00000p-36", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
-        ("0x1.999999b7fc3afp-8", "interior", "-0x1.bc6ef35ee6bd2p+1", "-0x1.34a06b6502236p-4"),
-        ("0x1.00000000fdcb1p-4", "interior", "-0x1.a827999c6b496p-2", "-0x1.5f61997d7b342p-7"),
-        ("0x1.e66666667bd26p-4", "interior", "-0x1.a9a11b25d0360p-6", "-0x1.502326b944fc0p-14"),
+        ("0x1.999999b7fc3afp-8", "interior", "-0x1.bc6ef35ea06dfp+1", "-0x1.34a06b6502236p-4"),
+        ("0x1.00000000fdcb1p-4", "interior", "-0x1.a827999c91086p-2", "-0x1.5f61997d7b342p-7"),
+        ("0x1.e66666667bd26p-4", "interior", "-0x1.a9a11b25e27dep-6", "-0x1.502326b944fe0p-14"),
     ]),
 ]
 
@@ -549,11 +584,7 @@ def _draw_model(kind, data):
 class TestConjugateProperties:
     """Duality identities over random models; the bounds were fixed before the first run.
 
-    The scalar factor curve's finite-difference derivative makes the bisection's
-    residual check fail for some targets (BracketFailure).  Those targets are
-    counted and reported as an expected failure of the whole test, after the
-    identities were checked on every other target; on BS and OU models a
-    BracketFailure fails the test.
+    A BracketFailure on any model, the scalar factor model included, fails the test.
     """
 
     @staticmethod
@@ -569,27 +600,15 @@ class TestConjugateProperties:
 
     @classmethod
     def _run(cls, kind, side, check):
-        defects = []
-
         @settings(max_examples=40, deadline=None, derandomize=True, database=None)
         @given(data=st.data(), frac=st.floats(0.05, 0.95))
         def run(data, frac):
             curve = models.dual_curve(_draw_model(kind, data), side)
             conjugate = conjugate_upside if side is Side.UPSIDE else conjugate_downside
             ell, dist = cls._target(curve, frac)
-            try:
-                check(curve, conjugate, ell, dist)
-            except BracketFailure as exc:
-                if kind != "factor":
-                    raise
-                defects.append(exc)
+            check(curve, conjugate, ell, dist)
 
         run()
-        if defects:
-            pytest.xfail(
-                f"{len(defects)} factor-model targets end in BracketFailure: the "
-                "finite-difference derivative fails the bisection residual check"
-            )
 
     @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
     @pytest.mark.parametrize("kind", ["bs", "factor", "ou"])
@@ -621,6 +640,41 @@ class TestConjugateProperties:
             assert abs(slope + tilt) <= 1e-6 * max(1.0, abs(tilt))
 
         self._run(kind, side, check)
+
+
+def _factor_slope(model, theta):
+    """Lambda'(theta) of the scalar factor curve, read from the side that holds theta."""
+    return models.dual_curve(model, Side.UPSIDE if theta > 0.0 else Side.DOWNSIDE).deriv(theta)
+
+
+class TestExactFactorSlope:
+    """The closed-form Lambda' of the scalar factor curve over random models in
+    test_08's ranges; the bounds were fixed before the first run."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), frac=st.floats(0.0, 1.0))
+    def test_matches_richardson_difference(self, data, frac):
+        model = _draw_model("factor", data)
+        theta_bar = models.lg1d_beta_thetabar(model)[1]
+        theta = -20.0 + frac * (0.9 * theta_bar + 20.0)
+        h = 1e-2 * min(max(1.0, abs(theta)), theta_bar - theta)
+
+        def central(step):
+            up = models.lg1d_gamma(model, theta + step)
+            return (up - models.lg1d_gamma(model, theta - step)) / (2.0 * step)
+
+        richardson = (4.0 * central(0.5 * h) - central(h)) / 3.0
+        assert abs(_factor_slope(model, theta) - richardson) <= 1e-7 * abs(richardson)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_nondecreasing_down_to_minus_1e300(self, data):
+        model = _draw_model("factor", data)
+        theta_bar = models.lg1d_beta_thetabar(model)[1]
+        grid = list(-np.geomspace(1e300, 1e-3, 121)) + list(theta_bar * np.linspace(0, 1, 41))
+        slopes = [_factor_slope(model, float(t)) for t in grid]  # theta_bar reads just inside
+        assert not any(math.isnan(d) for d in slopes)
+        assert all(b >= a for a, b in zip(slopes, slopes[1:]))
 
 
 def capped_solve_tilt(curve: DualCurve, target: float) -> float:
@@ -677,13 +731,13 @@ def capped_solve_tilt(curve: DualCurve, target: float) -> float:
 
 def _outcome(solve, curve, ell):
     try:
-        return solve(curve, ell).hex()
+        return solve(curve, ell)
     except GrowthTailError as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
 class TestStopRule:
-    """The bisection ends when no float lies strictly inside its interval."""
+    """The search ends when no float lies strictly inside its bracket."""
 
     @pytest.mark.parametrize(
         "side, ell, tilt", [(Side.DOWNSIDE, 0.0078125, -3.0), (Side.UPSIDE, 2.0, 0.75)]
@@ -696,6 +750,22 @@ class TestStopRule:
         monkeypatch.setattr(DualCurve, "deriv", lambda self, t: calls.append(t) or deriv(self, t))
         assert solve_tilt(curve, ell) == pytest.approx(tilt, abs=1e-12)
         assert len(calls) <= 60
+
+    @pytest.mark.parametrize("name", ["bs", "lg_rho0", "lg_rho05"])
+    def test_superlinear_call_budget(self, monkeypatch, name):
+        # the pinned interior targets of the curves with a closed-form derivative
+        calls = []
+        deriv = DualCurve.deriv
+        monkeypatch.setattr(DualCurve, "deriv", lambda self, t: calls.append(t) or deriv(self, t))
+        for pin_name, side, _, _, rows in PIN:
+            if pin_name != name:
+                continue
+            curve = PIN_CURVES[name](Side(side))
+            for ell, regime, _, _ in rows:
+                if regime == "interior":
+                    calls.clear()
+                    solve_tilt(curve, float.fromhex(ell))
+                    assert len(calls) <= 20
 
     def test_wide_bracket(self):
         # no absolute 1e-16 width is reached within 200 halvings of a 1e300-wide bracket
@@ -714,4 +784,17 @@ class TestStopRule:
         else:
             curve = models.dual_curve(_draw_model(kind, data), side)
         ell, _ = TestConjugateProperties._target(curve, frac)
-        assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
+        got, ref = _outcome(solve_tilt, curve, ell), _outcome(capped_solve_tilt, curve, ell)
+        # the same outcome, a tilt or the same exception type, except that the search
+        # may resolve a black-box target whose bisection midpoint failed the residual
+        # check on finite-difference noise
+        if ref is BracketFailure and kind == "black_box" and isinstance(got, float):
+            return
+        assert isinstance(got, float) == isinstance(ref, float)
+        if not isinstance(ref, float):
+            assert got is ref
+        elif kind != "black_box":
+            # a derivative residual no larger than the capped loop's, up to the
+            # derivative's own rounding (8 ulp: twice the largest excess in 21000
+            # random draws); black-box tilts pass the residual check
+            assert abs(curve.deriv(got) - ell) <= abs(curve.deriv(ref) - ell) + 8 * math.ulp(ell)
