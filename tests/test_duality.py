@@ -450,63 +450,63 @@ class TestCurveChecks:
 
 # (curve, side, hex Lambda'(0), hex far limit, [(hex target, regime, hex tilt, hex rate)]):
 # the targets are literals, so the rows pin the limits, the bracket and the
-# search bit for bit on both sides.
+# bisection bit for bit on both sides.
 PIN = [
     ("bs", "up", "0x1.0000000000000p-3", "inf", [
         ("0x1.0000000000000p-4", "free", None, "0x0.0p+0"),
         ("0x1.0000000000000p-3", "free", None, "0x0.0p+0"),
-        ("0x1.0cccccccccccdp-3", "interior", "0x1.8ada6ba169075p-6", "-0x1.3fbc40c52bd00p-14"),
-        ("0x1.8000000000000p-3", "interior", "0x1.77d0a3fcf4f08p-3", "-0x1.9dc7afdb7b460p-8"),
-        ("0x1.8000000000000p-2", "interior", "0x1.b0cb174df99c7p-2", "-0x1.126145e9ecd55p-4"),
+        ("0x1.0cccccccccccdp-3", "interior", "0x1.8ada6ba169072p-6", "-0x1.3fbc40c52bd00p-14"),
+        ("0x1.8000000000000p-3", "interior", "0x1.77d0a3fcf4f05p-3", "-0x1.9dc7afdb7b464p-8"),
+        ("0x1.8000000000000p-2", "interior", "0x1.b0cb174df99c6p-2", "-0x1.126145e9ecd55p-4"),
         ("0x1.0000000000000p+0", "interior", "0x1.4afb0ccc0621ap-1", "-0x1.abec333018867p-2"),
     ]),
     ("bs", "down", "0x1.0000000000000p-3", "0x0.0p+0", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
         ("0x1.999999999999ap-8", "interior", "-0x1.bc6ef372fe94ep+1", "-0x1.34a06b6b9a2acp-4"),
-        ("0x1.0000000000000p-4", "interior", "-0x1.a827999fcef33p-2", "-0x1.5f619980c4336p-7"),
-        ("0x1.e666666666666p-4", "interior", "-0x1.a9a11b27057efp-6", "-0x1.502326bb7ed80p-14"),
+        ("0x1.0000000000000p-4", "interior", "-0x1.a827999fcef32p-2", "-0x1.5f619980c4338p-7"),
+        ("0x1.e666666666666p-4", "interior", "-0x1.a9a11b27057e0p-6", "-0x1.502326bb7ed80p-14"),
     ]),
     ("lg_rho0", "up", "0x1.8000000000000p-2", "inf", [
         ("0x1.8000000000000p-3", "free", None, "0x0.0p+0"),
         ("0x1.8000000000000p-2", "free", None, "0x0.0p+0"),
-        ("0x1.9333333333334p-2", "interior", "0x1.068424ed29538p-6", "-0x1.3f26fd874a920p-13"),
-        ("0x1.2000000000000p-1", "interior", "0x1.e916c8fe69d72p-4", "-0x1.9719cf15a89e0p-7"),
-        ("0x1.2000000000000p+0", "interior", "0x1.0c8ba0930aebbp-2", "-0x1.05204345fae85p-3"),
+        ("0x1.9333333333334p-2", "interior", "0x1.068424ed29528p-6", "-0x1.3f26fd874a6e0p-13"),
+        ("0x1.2000000000000p-1", "interior", "0x1.e916c8fe69d6ep-4", "-0x1.9719cf15a89d8p-7"),
+        ("0x1.2000000000000p+0", "interior", "0x1.0c8ba0930aebap-2", "-0x1.05204345fae84p-3"),
         ("0x1.8000000000000p+1", "interior", "0x1.7fae73098961ap-2", "-0x1.81e8d94290442p-1"),
     ]),
     ("lg_rho0", "down", "0x1.8000000000000p-2", "0x0.0p+0", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
         ("0x1.333333365ca56p-6", "interior", "-0x1.4374d660e225ap+1", "-0x1.4767e903df422p-3"),
         ("0x1.800000003540dp-3", "interior", "-0x1.24581dcac949ap-2", "-0x1.673f0b17d8dc2p-6"),
-        ("0x1.6ccccccccf767p-2", "interior", "-0x1.1c8df4a9b60c7p-6", "-0x1.50c50dda679c0p-13"),
+        ("0x1.6ccccccccf767p-2", "interior", "-0x1.1c8df4a9b60d0p-6", "-0x1.50c50dda678c0p-13"),
     ]),
     ("lg_rho05", "up", "0x1.3117cf1e214a8p-2", "inf", [
         ("0x1.3117cf1e214a8p-3", "free", None, "0x0.0p+0"),
         ("0x1.3117cf1e214a8p-2", "free", None, "0x0.0p+0"),
-        ("0x1.4058ffdfa2f4ap-2", "interior", "0x1.a44e786022f50p-7", "-0x1.96005454eef80p-14"),
-        ("0x1.c9a3b6ad31efcp-2", "interior", "0x1.874c380fd4338p-4", "-0x1.02d1548a9d840p-7"),
-        ("0x1.c9a3b6ad31efcp-1", "interior", "0x1.adfeed8be9561p-3", "-0x1.4c0be07b2a296p-4"),
+        ("0x1.4058ffdfa2f4ap-2", "interior", "0x1.a44e786022f22p-7", "-0x1.96005454eeb00p-14"),
+        ("0x1.c9a3b6ad31efcp-2", "interior", "0x1.874c380fd4335p-4", "-0x1.02d1548a9d83cp-7"),
+        ("0x1.c9a3b6ad31efcp-1", "interior", "0x1.adfeed8be955ep-3", "-0x1.4c0be07b2a299p-4"),
         ("0x1.3117cf1e214a8p+1", "interior", "0x1.342f5c3a7ec18p-2", "-0x1.ebb1fd979b4cbp-2"),
     ]),
     ("lg_rho05", "down", "0x1.3117cf1e214a8p-2", "0x0.0p+0", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
         ("0x1.e826183da1437p-7", "interior", "-0x1.066d27e1feffep+1", "-0x1.a3985e5da1d88p-4"),
-        ("0x1.3117cf1e92514p-3", "interior", "-0x1.d56b8a01586b6p-3", "-0x1.c9cc885900ff8p-7"),
-        ("0x1.21d69e5ca5472p-2", "interior", "-0x1.c7b7e15ab322bp-7", "-0x1.ac7e09f75fd80p-14"),
+        ("0x1.3117cf1e92514p-3", "interior", "-0x1.d56b8a01586c5p-3", "-0x1.c9cc885900fdcp-7"),
+        ("0x1.21d69e5ca5472p-2", "interior", "-0x1.c7b7e15ab324cp-7", "-0x1.ac7e09f762040p-14"),
     ]),
     ("black_box_bs", "up", "0x1.fffffffffb9a1p-4", "inf", [
         ("0x1.fffffffffb9a1p-5", "free", None, "0x0.0p+0"),
         ("0x1.fffffffffb9a1p-4", "free", None, "0x0.0p+0"),
-        ("0x1.0cccccccca7dbp-3", "interior", "0x1.8ada6ba0db888p-6", "-0x1.3fbc40c4b9da0p-14"),
-        ("0x1.7ffffffffcb39p-3", "interior", "0x1.77d0a3fcd9aa4p-3", "-0x1.9dc7afdb67e78p-8"),
-        ("0x1.7ffffffffcb39p-2", "interior", "0x1.b0cb174e20a3dp-2", "-0x1.126145e9e741dp-4"),
-        ("0x1.fffffffffb9a1p-1", "interior", "0x1.4afb0ccbf3c1dp-1", "-0x1.abec333012d6bp-2"),
+        ("0x1.0cccccccca7dbp-3", "interior", "0x1.8ada6ba0f3752p-6", "-0x1.3fbc40c4b9da0p-14"),
+        ("0x1.7ffffffffcb39p-3", "interior", "0x1.77d0a3fcfdd7fp-3", "-0x1.9dc7afdb67e74p-8"),
+        ("0x1.7ffffffffcb39p-2", "interior", "0x1.b0cb174e2f374p-2", "-0x1.126145e9e741cp-4"),
+        ("0x1.fffffffffb9a1p-1", "interior", "0x1.4afb0ccbf3c1cp-1", "-0x1.abec333012d6bp-2"),
     ]),
     ("black_box_bs", "down", "0x1.fffffffffb9a5p-4", "0x1.fffbc0ba00000p-36", [
         ("-0x1.47ae147ae147bp-7", "unreachable", None, "-inf"),
-        ("0x1.999999b7fc3afp-8", "interior", "-0x1.bc6ef35ea06dfp+1", "-0x1.34a06b6502236p-4"),
-        ("0x1.00000000fdcb1p-4", "interior", "-0x1.a827999c91086p-2", "-0x1.5f61997d7b342p-7"),
-        ("0x1.e66666667bd26p-4", "interior", "-0x1.a9a11b25e27dep-6", "-0x1.502326b944fe0p-14"),
+        ("0x1.999999b7fc3afp-8", "interior", "-0x1.bc6ef35ee6bd2p+1", "-0x1.34a06b6502236p-4"),
+        ("0x1.00000000fdcb1p-4", "interior", "-0x1.a827999c6b496p-2", "-0x1.5f61997d7b342p-7"),
+        ("0x1.e66666667bd26p-4", "interior", "-0x1.a9a11b25d0360p-6", "-0x1.502326b944fc0p-14"),
     ]),
 ]
 
@@ -731,13 +731,13 @@ def capped_solve_tilt(curve: DualCurve, target: float) -> float:
 
 def _outcome(solve, curve, ell):
     try:
-        return solve(curve, ell)
+        return solve(curve, ell).hex()
     except GrowthTailError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 class TestStopRule:
-    """The search ends when no float lies strictly inside its bracket."""
+    """The bisection ends when no float lies strictly inside its interval."""
 
     @pytest.mark.parametrize(
         "side, ell, tilt", [(Side.DOWNSIDE, 0.0078125, -3.0), (Side.UPSIDE, 2.0, 0.75)]
@@ -767,6 +767,22 @@ class TestStopRule:
                     solve_tilt(curve, float.fromhex(ell))
                     assert len(calls) <= 20
 
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_same_tilt_under_rounding_noise(self, side):
+        # a model-supplied derivative up to 2^-49 relative off a nondecreasing one,
+        # in no order from one float to the next: the midpoints inside that noise
+        # are evaluated (with no allowance for it, 21 of these 38 tilts differ)
+        def deriv(t):
+            return Q / ((1.0 - t) * (1.0 - t)) * (1.0 + 2.0**-49 * math.sin(1e16 * t))
+
+        curve = DualCurve(
+            side, lambda t: Q * t / (1.0 - t), deriv=deriv, theta_bar=1.0,
+            deriv_at_zero=Q, deriv_at_lower_limit=0.0, deriv_at_upper_limit=math.inf,
+        )
+        for frac in np.linspace(0.05, 0.95, 19):
+            ell, _ = TestConjugateProperties._target(curve, float(frac))
+            assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
+
     def test_wide_bracket(self):
         # no absolute 1e-16 width is reached within 200 halvings of a 1e300-wide bracket
         curve = DualCurve(Side.UPSIDE, lambda t: t * t, theta_bar=1e300)
@@ -784,17 +800,4 @@ class TestStopRule:
         else:
             curve = models.dual_curve(_draw_model(kind, data), side)
         ell, _ = TestConjugateProperties._target(curve, frac)
-        got, ref = _outcome(solve_tilt, curve, ell), _outcome(capped_solve_tilt, curve, ell)
-        # the same outcome, a tilt or the same exception type, except that the search
-        # may resolve a black-box target whose bisection midpoint failed the residual
-        # check on finite-difference noise
-        if ref is BracketFailure and kind == "black_box" and isinstance(got, float):
-            return
-        assert isinstance(got, float) == isinstance(ref, float)
-        if not isinstance(ref, float):
-            assert got is ref
-        elif kind != "black_box":
-            # a derivative residual no larger than the capped loop's, up to the
-            # derivative's own rounding (8 ulp: twice the largest excess in 21000
-            # random draws); black-box tilts pass the residual check
-            assert abs(curve.deriv(got) - ell) <= abs(curve.deriv(ref) - ell) + 8 * math.ulp(ell)
+        assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
