@@ -303,8 +303,10 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
 
     The bisection stops when its interval can shrink no further in floating
     point, or at 1e-16 relative width.  The midpoint is returned when its
-    derivative is within 1e-10 (relative past 1) of the target; otherwise
-    BracketFailure is raised.
+    derivative is within 1e-10 (relative past 1) of the target, or when a
+    model-supplied derivative crosses the target between the interval's two
+    adjacent floats (a slope too steep for the tolerance, near a steep
+    theta_bar); otherwise BracketFailure is raised.
 
     Most midpoints are not evaluated.  A bracketed Brent-Dekker search
     (Brent 1973) on Lambda' first probes its way to the target.  Lambda' is
@@ -392,7 +394,9 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
     mid = 0.5 * (lo + hi)
     theta, residual = sign * mid, sign * (known[mid] if mid in known else g(mid))
     # written so that a NaN residual fails too
-    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)):
+    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)) and not (
+        noise < math.inf and math.nextafter(lo, hi) == hi and g(lo) < 0.0 < g(hi)
+    ):
         raise BracketFailure(
             f"bisection stalled at theta={theta} with derivative residual {residual:.3e}"
         )

@@ -17,11 +17,12 @@ with ``quadratic_pair(theta)``; the Monte-Carlo engine needs nothing else.
   per-tilt solve computes that root, its stability check and the linear
   coefficient ``D`` once; the curve value, the policy and
   ``quadratic_pair`` each call it once.  The curve's derivative is a
-  closed form of its own, a sum of two squares.
+  closed form of its own, a sum of two squares, and so is each of its limits.
 * :class:`PlatenRebolledo` -- log-price follows the OU factor itself: the
   scalar factor model with ``B1 = K``, ``B0 = |gamma|^2/2``,
-  ``gamma = sigma``, ``rho = 1``.  Its dual curve carries the closed-form
-  derivative and limits; the ``pr_*`` rational formulas are oracles.
+  ``gamma = sigma``, ``rho = 1``, so ``beta = 0``.  It runs on the scalar
+  factor curve like every other member; the ``pr_*`` rational formulas
+  are its oracles.
 * ``riccati.LinearFactorMD`` -- the validated matrix record, solved by
   ``riccati.solve_care``.
 
@@ -186,8 +187,9 @@ class PlatenRebolledo(LinearFactor1D):
     """Log-price follows an OU process with reversion K < 0 and noise norm |sigma|.
 
     The scalar factor model with B1 = K, B0 = |sigma|^2/2, |gamma| = |sigma|
-    and rho = 1.  Its dual curve has the closed-form derivative
-    ell_lower + (ell_upper - ell_lower)/sqrt(1-theta); the ``pr_*`` rational
+    and rho = 1: the beta = 0 member of the scalar factor family, whose
+    closed-form derivative reduces here to
+    ell_lower + (ell_upper - ell_lower)/sqrt(1-theta).  The ``pr_*`` rational
     formulas check the engine's rates, tilts and limits.
     """
 
@@ -197,7 +199,7 @@ class PlatenRebolledo(LinearFactor1D):
         )
 
     def as_linear_factor(self) -> LinearFactor1D:
-        """The same market as a plain LinearFactor1D, without the closed-form derivative."""
+        """The same market as a plain LinearFactor1D, on the same dual curve."""
         return LinearFactor1D(*astuple(self))
 
 
@@ -475,29 +477,25 @@ def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
 
     Gamma'(0), the stationary mean growth rate of the log-optimal policy,
     is the closed form B0^2/(2|sigma|^2) - |gamma|^2 B1^2/(4|sigma|^2 K).
-    The curve is steep at theta_bar.  When beta > 0, Gamma'(-inf) is 0 for
-    |rho| < 1 and |K| max(0, rho*abar - 1) for |rho| = 1; the beta = 0 family
-    (log-price an OU process, given as a plain LinearFactor1D) is probed.
+    The curve is steep at theta_bar, and every limit is a closed form.
+    Gamma'(-inf) is B0^2/(2|sigma|^2) when beta = 0 (|rho| = 1 and abar = rho:
+    log-price an OU process), where the first square of ``_lg1d_slope`` keeps
+    its B0 term; otherwise it is 0 for |rho| < 1 and |K| max(0, rho*abar - 1)
+    for |rho| = 1.
     """
     a, beta, theta_bar = _lg1d_domain(model)
     s2 = model.sigma_norm**2
-    lower = None
-    if beta > 0.0:
+    b2 = model.B0**2 / (2.0 * s2)  # the first square of Gamma' at theta = 0
+    if beta == 0.0:
+        lower = b2
+    else:
         lower = -model.K * max(0.0, model.rho * a - 1.0) if model.rho**2 == 1.0 else 0.0
-
-    def evaluate(theta: float) -> float:
-        return lg1d_gamma(model, theta)
-
-    def deriv(theta: float) -> float:
-        return _lg1d_slope(model, theta)
-
     return DualCurve(
         side,
-        evaluate,
-        deriv=deriv,
+        lambda theta: lg1d_gamma(model, theta),
+        deriv=lambda theta: _lg1d_slope(model, theta),
         theta_bar=theta_bar,
-        deriv_at_zero=model.B0**2 / (2.0 * s2)
-        - model.gamma_norm**2 * model.B1**2 / (4.0 * s2 * model.K),
+        deriv_at_zero=b2 - model.gamma_norm**2 * model.B1**2 / (4.0 * s2 * model.K),
         deriv_at_lower_limit=lower,
         deriv_at_upper_limit=math.inf,
     )
@@ -517,23 +515,6 @@ def lg1d_policy(model: LinearFactor1D, theta: float) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # Platen-Rebolledo rational closed forms
 # ---------------------------------------------------------------------------
-
-
-def _pr_dual(model: PlatenRebolledo, side: Side) -> DualCurve:
-    """The factor curve with the closed-form derivative and both limits from pr_bounds.
-
-    Gamma'(theta) = ell_lower + (ell_upper - ell_lower)/sqrt(1-theta).
-    """
-    lower, upper = pr_bounds(model)
-    return DualCurve(
-        side,
-        lambda theta: lg1d_gamma(model, theta),
-        deriv=lambda theta: lower + (upper - lower) / math.sqrt(1.0 - theta),
-        theta_bar=1.0,
-        deriv_at_zero=upper,
-        deriv_at_lower_limit=lower,
-        deriv_at_upper_limit=math.inf,
-    )
 
 
 def pr_bounds(model: PlatenRebolledo) -> tuple[float, float]:
@@ -587,8 +568,6 @@ def dual_curve(model: ModelSpec, side: Side) -> DualCurve:
     """The model's dual curve on the requested side."""
     if isinstance(model, BlackScholesModel):
         return bs_dual(model, side)
-    if isinstance(model, PlatenRebolledo):
-        return _pr_dual(model, side)
     if isinstance(model, LinearFactor1D):
         return lg1d_gamma_curve(model, side)
     raise TypeError(f"unsupported model type {type(model).__name__}")

@@ -144,6 +144,24 @@ class TestFrontier:
         assert float(rows[0]["policy_gain"]) == pytest.approx(-15.0, abs=1e-8)
         assert float(rows[0]["policy_intercept"]) == pytest.approx(0.5, abs=1e-10)
 
+    def test_target_next_to_steep_theta_bar(self, model_file, capsys):
+        # Lambda' jumps by more than the 1e-10 residual tolerance between the
+        # two floats that close the bracket: the tilt is the bisection's midpoint
+        record = {
+            "K": -0.16779721600829034, "B1": -0.12222947579860177, "B0": 1.6890701194823856,
+            "sigma_norm": 0.12795542087295303, "gamma_norm": 0.20197934145116186,
+            "rho": 0.9850027948763083,
+        }
+        code, payload = run_json(
+            capsys,
+            ["frontier", "--model", model_file(record), "--side", "up",
+             "--ell", "227.66890639057004"],
+        )
+        assert code == 0
+        row = payload["rows"][0]
+        assert row["regime"] == "interior" and row["error"] is None
+        assert row["theta"].hex() == "0x1.fffffc7ba2052p-1"
+
     def test_unreachable_serializes_minus_inf(self, model_file, capsys):
         code, rows, _ = run_csv(
             capsys,

@@ -13,6 +13,7 @@ from growthtail import (
     DualCurve,
     LinearFactor1D,
     PlatenRebolledo,
+    RateValue,
     Regime,
     Side,
     bs_dual,
@@ -23,6 +24,7 @@ from growthtail import (
     lg1d_gamma_curve,
     models,
     near_optimal_tilt,
+    pr_bounds,
     solve_tilt,
 )
 from growthtail.duality import _BOUNDARY_CLAMP, _MAX_BRACKET_DOUBLINGS, _TILT_FTOL
@@ -168,6 +170,7 @@ class TestLimitsOnFirstRead:
         BlackScholesModel(b=0.1, sigma=0.2),
         LinearFactor1D(K=-1.2, B1=0.8, B0=0.4, sigma_norm=0.9, gamma_norm=1.1, rho=0.5),
         PlatenRebolledo(K=-0.5, sigma_norm=0.2),
+        PlatenRebolledo(K=-0.5, sigma_norm=0.2).as_linear_factor(),
     ]
 
     @pytest.fixture
@@ -182,21 +185,6 @@ class TestLimitsOnFirstRead:
         monkeypatch.setattr(models, "lg1d_gamma", counting)
         return calls
 
-    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
-    @pytest.mark.parametrize("model", MODELS, ids=["bs", "factor", "ou"])
-    def test_building_a_model_curve_evaluates_nothing(self, gamma_calls, model, side):
-        models.dual_curve(model, side)
-        assert gamma_calls == []
-
-    def test_building_a_black_box_curve_evaluates_nothing(self):
-        calls = []
-        curve = DualCurve(
-            Side.UPSIDE, lambda t: calls.append(t) or Q * t / (1.0 - t), theta_bar=1.0
-        )
-        assert calls == []
-        assert curve.steep  # the upper limit is probed on this first read
-        assert calls
-
     @pytest.fixture
     def slope_calls(self, monkeypatch):
         calls = []
@@ -209,36 +197,59 @@ class TestLimitsOnFirstRead:
         monkeypatch.setattr(models, "_lg1d_slope", counting)
         return calls
 
-    def test_lower_limit_probed_once(self, slope_calls):
-        # beta = 0 (log-price an OU process, as a plain LinearFactor1D): the
-        # one scalar factor curve whose far limit is probed
-        curve = models.dual_curve(PlatenRebolledo(K=-0.5, sigma_norm=0.2).as_linear_factor(),
-                                  Side.DOWNSIDE)
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    @pytest.mark.parametrize("model", MODELS, ids=["bs", "factor", "ou", "ou-as-factor"])
+    def test_building_a_model_curve_evaluates_nothing(self, gamma_calls, slope_calls, model, side):
+        # every model curve carries all its limits, so reading them evaluates nothing either
+        curve = models.dual_curve(model, side)
+        lower = curve.deriv_at_lower_limit
+        assert lower is None if side is Side.UPSIDE else lower < curve.deriv_at_zero
+        assert curve.deriv_at_zero <= curve.deriv_at_upper_limit
+        assert gamma_calls == [] and slope_calls == []
+
+    def test_building_a_black_box_curve_evaluates_nothing(self):
+        calls = []
+        curve = DualCurve(
+            Side.UPSIDE, lambda t: calls.append(t) or Q * t / (1.0 - t), theta_bar=1.0
+        )
+        assert calls == []
+        assert curve.steep  # the upper limit is probed on this first read
+        assert calls
+
+    def test_lower_limit_probed_once(self):
+        # an evaluation-only curve of the OU log-price value: only black-box
+        # curves probe their far limit
+        calls = []
+        lf = PlatenRebolledo(K=-0.5, sigma_norm=0.2).as_linear_factor()
+        curve = DualCurve(Side.DOWNSIDE, lambda t: calls.append(t) or models.lg1d_gamma(lf, t))
         first = curve.deriv_at_lower_limit
-        n = len(slope_calls)
+        n = len(calls)
         assert n > 0
         assert first == pytest.approx(0.2**2 / 8.0, rel=1e-6)  # pr_bounds' ell_lower
         assert curve.deriv_at_lower_limit == first
-        assert len(slope_calls) == n
+        assert len(calls) == n
 
     @pytest.mark.parametrize(
-        "model, limit",
+        "model, limit, far",
         [
-            (MODELS[1], 0.0),
+            (MODELS[1], 0.0, -(2.0**40)),
             # |rho| = 1 and rho*abar = 2 > 1: the limit is |K| (rho*abar - 1)
             (LinearFactor1D(K=-1.0, B1=-2.0, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=1.0),
-             1.0),
+             1.0, -(2.0**40)),
             (LinearFactor1D(K=-1.0, B1=0.5, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=1.0),
-             0.0),
+             0.0, -(2.0**40)),
+            # beta = 0 (rho = abar = 1): the limit is B0^2/(2|sigma|^2)
+            (LinearFactor1D(K=-1.0, B1=-1.0, B0=0.5, sigma_norm=1.0, gamma_norm=1.0, rho=1.0),
+             0.125, -(2.0**80)),
         ],
-        ids=["rho-below-one", "rho-one-steep-loading", "rho-one"],
+        ids=["rho-below-one", "rho-one-steep-loading", "rho-one", "beta-zero"],
     )
-    def test_lower_limit_in_closed_form(self, slope_calls, gamma_calls, model, limit):
+    def test_lower_limit_in_closed_form(self, slope_calls, gamma_calls, model, limit, far):
         curve = models.dual_curve(model, Side.DOWNSIDE)
         assert curve.deriv_at_lower_limit == limit
         assert slope_calls == [] and gamma_calls == []
-        # the slope approaches it as 1/theta^2
-        assert curve.deriv(-(2.0**40)) == pytest.approx(limit, abs=1e-11)
+        # the slope approaches it as 1/theta^2, or as 1/sqrt(-theta) when beta = 0
+        assert curve.deriv(far) == pytest.approx(limit, abs=1e-11)
 
 
 class TestNaNTarget:
@@ -677,9 +688,31 @@ class TestExactFactorSlope:
         assert all(b >= a for a, b in zip(slopes, slopes[1:]))
 
 
+class TestOULogPriceSlope:
+    """The OU log-price curve is the scalar factor curve at beta = 0; its former
+    derivative ell_lower + (ell_upper - ell_lower)/sqrt(1-theta) and
+    ``pr_bounds`` are kept as oracles.  The bound was fixed before the first run."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_rational_derivative(self, data):
+        pr = _draw_model("ou", data)
+        lower, upper = pr_bounds(pr)
+        grid = list(-np.geomspace(1e300, 1e-3, 121)) + list(np.linspace(0.0, 0.999999, 41))
+        for theta in map(float, grid):
+            oracle = lower + (upper - lower) / math.sqrt(1.0 - theta)
+            assert abs(_factor_slope(pr, theta) - oracle) <= 1e-14 * oracle
+        up, down = models.dual_curve(pr, Side.UPSIDE), models.dual_curve(pr, Side.DOWNSIDE)
+        assert abs(up.deriv_at_zero - upper) <= 1e-14 * upper and up.steep
+        assert abs(down.deriv_at_zero - upper) <= 1e-14 * upper
+        assert abs(down.deriv_at_lower_limit - lower) <= 1e-14 * lower
+
+
 def capped_solve_tilt(curve: DualCurve, target: float) -> float:
     """Reference copy of ``solve_tilt`` with its former stop rule: at most 200
-    bisection steps, ended early only at 1e-16 relative width."""
+    bisection steps, ended early only at 1e-16 relative width.  Its final check
+    is ``solve_tilt``'s: a model-supplied derivative that crosses the target
+    between two adjacent floats passes."""
     ell = float(target)
     if not math.isfinite(ell):
         raise TargetOutOfRange("target is NaN" if math.isnan(ell) else "target is not finite")
@@ -722,7 +755,11 @@ def capped_solve_tilt(curve: DualCurve, target: float) -> float:
             break
     mid = 0.5 * (lo + hi)
     residual = curve.deriv(mid) - ell
-    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)):
+    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)) and not (
+        curve._deriv is not None
+        and math.nextafter(lo, hi) == hi
+        and curve.deriv(lo) < ell < curve.deriv(hi)
+    ):
         raise BracketFailure(
             f"bisection stalled at theta={mid} with derivative residual {residual:.3e}"
         )
@@ -782,6 +819,24 @@ class TestStopRule:
         for frac in np.linspace(0.05, 0.95, 19):
             ell, _ = TestConjugateProperties._target(curve, float(frac))
             assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
+
+    @pytest.mark.parametrize(
+        "side, ell, tilt, rate",
+        [(Side.UPSIDE, 0.5, 0.5, -0.125), (Side.DOWNSIDE, -0.125, -0.5, -0.1875)],
+    )
+    def test_slope_jump_between_adjacent_floats(self, side, ell, tilt, rate):
+        # Lambda' jumps across the target at a kink: the bracket closes on two
+        # adjacent floats, neither within the residual tolerance, and the root is there
+        def deriv(t):
+            return (0.25 if t < 0.5 else 1.0) if t >= 0.0 else (0.25 if t > -0.5 else -0.5)
+
+        curve = DualCurve(
+            side, lambda t: 0.25 * t + 0.75 * max(0.0, abs(t) - 0.5), deriv=deriv, theta_bar=1.0,
+            deriv_at_zero=0.25, deriv_at_lower_limit=-0.5, deriv_at_upper_limit=math.inf,
+        )
+        conjugate = conjugate_upside if side is Side.UPSIDE else conjugate_downside
+        assert conjugate(curve, ell) == RateValue.interior(rate, tilt)
+        assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
 
     def test_wide_bracket(self):
         # no absolute 1e-16 width is reached within 200 halvings of a 1e300-wide bracket
