@@ -18,7 +18,6 @@ from .duality import (
     conjugate_downside,
     conjugate_upside,
     frontier,
-    near_optimal_tilt,
     solve_tilt,
 )
 from .models import (

@@ -21,7 +21,8 @@ searched as its mirror (see :class:`DualCurve`).
 Regimes of the conjugate:
 
 * ``FREE`` (upside, l <= Lambda'(0)): the rate is 0; no optimal tilt
-  exists, only a nearly optimal sequence (see :func:`near_optimal_tilt`).
+  exists, only a nearly optimal sequence, the tilts where Lambda' is
+  Lambda'(0) + 1/n.
 * ``INTERIOR``: the rate is Lambda(theta*) - theta* l at the unique tilt
   theta* with Lambda'(theta*) = l.
 * ``UNREACHABLE`` (downside, l < Lambda'(-inf)): the rate is minus
@@ -50,7 +51,6 @@ __all__ = [
     "solve_tilt",
     "conjugate_upside",
     "conjugate_downside",
-    "near_optimal_tilt",
     "frontier",
     "check_curve",
 ]
@@ -166,7 +166,8 @@ class DualCurve:
     The derivative limits ``deriv_at_zero``, ``deriv_at_lower_limit`` and
     ``deriv_at_upper_limit`` are computed on first read: a limit passed in
     is used as given, a missing one is probed once from the derivative, so
-    building a curve evaluates nothing.  The far limit of either side is
+    building a curve evaluates nothing.  A given Lambda'(0) must be finite
+    and a given far limit not NaN (ValueError).  The far limit of either side is
     one cached mu' limit at the reach, where a slope past 1e12 counts as
     infinite: Lambda'(theta_bar) = +inf upside, Lambda'(-inf) = -inf downside.
     """
@@ -195,9 +196,13 @@ class DualCurve:
         # given limits shadow the cached properties below
         if deriv_at_zero is not None:
             self.deriv_at_zero = float(deriv_at_zero)
+            if not math.isfinite(self.deriv_at_zero):
+                raise ValueError(f"deriv_at_zero must be finite, got {deriv_at_zero}")
         far = deriv_at_upper_limit if up else deriv_at_lower_limit
         if far is not None:
             self._far_slope = self._sign * float(far)
+            if math.isnan(self._far_slope):
+                raise ValueError("the far derivative limit is NaN")
 
     # -- derivative limits, computed on first read ----------------------
 
@@ -506,19 +511,6 @@ def conjugate_downside(curve: DualCurve, target: float) -> RateValue:
         return RateValue.unreachable()
     theta = solve_tilt(curve, ell)
     return RateValue.interior(curve.value(theta) - theta * ell, theta)
-
-
-def near_optimal_tilt(curve: DualCurve, n: int) -> float:
-    """The n-th nearly optimal tilt theta_n for free-regime upside targets.
-
-    theta_n solves Lambda'(theta_n) = Lambda'(0) + 1/n; the sequence
-    decreases to 0 as n grows.
-    """
-    if curve.side is not Side.UPSIDE:
-        raise ValueError("near_optimal_tilt requires an upside curve")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return solve_tilt(curve, curve.deriv_at_zero + 1.0 / n)
 
 
 def frontier(curve: DualCurve, targets: Sequence[float]) -> list[FrontierPoint]:

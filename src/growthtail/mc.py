@@ -65,6 +65,7 @@ horizons to step counts, and hands its state to a reader at each.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -122,6 +123,10 @@ class SimConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not math.isfinite(self.dt) or not 0 < self.dt <= self.horizon:
             raise ValueError(f"dt must be finite and lie in (0, horizon], got {self.dt}")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         # the ratio test first: an overflowed ratio cannot be floored
@@ -476,8 +481,10 @@ def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
 
     A zero-hit outcome is flagged (``extras["zero_hits"]``) rather than
     raised; the tilted estimator at the target's conjugate tilt is the
-    remedy.
+    remedy.  A NaN target is a ValueError.
     """
+    if math.isnan(target):
+        raise ValueError("target is NaN")
     ind = _tail_indicator(sample.L, sample.horizon, target, side)
     n = sample.n_paths
     hits = int(ind.sum())
@@ -557,7 +564,7 @@ def tilted_estimate_prob(
     delta method for ratio estimators.  theta_tilt = 0 reproduces the
     direct estimator path-for-path.  A tilt that is not finite, has the
     wrong sign for the side, or lies past the model's domain (where the
-    quadratic value does not exist) is a ValueError.
+    quadratic value does not exist) is a ValueError, and so is a NaN target.
 
     ``horizons`` (each ending on the step grid of cfg's run) adds the
     estimates from the same run's state at those horizons as
@@ -570,6 +577,8 @@ def tilted_estimate_prob(
         raise ValueError("upside tilting requires theta_tilt >= 0")
     if side is Side.DOWNSIDE and theta_tilt > 0:
         raise ValueError("downside tilting requires theta_tilt <= 0")
+    if math.isnan(target):
+        raise ValueError("target is NaN")
     try:
         CD = model.quadratic_pair(theta_tilt)
     except DomainError as exc:
@@ -692,8 +701,11 @@ def empirical_chebyshev_check(
     Checks mean(1{L_T >= l T}) <= exp(-theta l T) mean(exp(theta L_T)).
     The bound holds pointwise for every sample set, so a False return can
     only signal an implementation error (or deliberately corrupted
-    ``weights``, the hook used by the negative-control test).
+    ``weights``, the hook used by the negative-control test).  A theta that
+    is not finite and a NaN target are ValueErrors.
     """
+    if not math.isfinite(theta) or math.isnan(target):
+        raise ValueError(f"theta must be finite and target not NaN, got {theta} and {target}")
     if theta < 0:
         raise ValueError("the upside Markov bound requires theta >= 0")
     cutoff = float(target) * sample.horizon

@@ -18,6 +18,8 @@ with ``quadratic_pair(theta)``; the Monte-Carlo engine needs nothing else.
   coefficient ``D`` once; the curve value, the policy and
   ``quadratic_pair`` each call it once.  The curve's derivative is a
   closed form of its own, a sum of two squares, and so is each of its limits.
+  The per-model constants (abar, beta, theta_bar, -K/|gamma|^2, both limits)
+  live in one immutable record on the model, ``_lg1d``, derived on first read.
 * :class:`PlatenRebolledo` -- log-price follows the OU factor itself: the
   scalar factor model with ``B1 = K``, ``B0 = |gamma|^2/2``,
   ``gamma = sigma``, ``rho = 1``, so ``beta = 0``.  It runs on the scalar
@@ -36,7 +38,8 @@ import math
 import numbers
 import sys
 from dataclasses import astuple, dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -144,6 +147,20 @@ class BlackScholesModel:
         return np.zeros((0, 0)), np.zeros(0)
 
 
+class _Lg1dConstants(NamedTuple):
+    """The constants of a scalar factor model's closed forms (``LinearFactor1D._lg1d``)."""
+
+    abar: float  # |gamma| B1/(K |sigma|), the loading-to-reversion ratio
+    beta: float  # 1 - rho^2 + (rho - abar)^2
+    theta_bar: float  # min(1/beta, 1)
+    one_rho2: float  # 1 - rho^2
+    scale: float  # -K/|gamma|^2
+    cross: float  # abar (2 rho - abar)
+    half_b2: float  # 0.5 b b, b = B0/|sigma|
+    deriv_at_zero: float  # Gamma'(0) = B0^2/(2|sigma|^2) - |gamma|^2 B1^2/(4|sigma|^2 K)
+    deriv_at_lower_limit: float  # Gamma'(-inf)
+
+
 @dataclass(frozen=True)
 class LinearFactor1D:
     """One stock driven by a scalar OU factor (norms-and-correlation form)."""
@@ -168,6 +185,35 @@ class LinearFactor1D:
             raise ValueError("rho must lie in [-1, 1]")
         if self.B0 == 0:
             raise ValueError("B0 must be nonzero")
+
+    @cached_property
+    def _lg1d(self) -> _Lg1dConstants:
+        """The closed forms' constants, derived once per model, on first read.
+
+        Gamma'(-inf) is B0^2/(2|sigma|^2) when beta = 0 (|rho| = 1 and
+        abar = rho: log-price an OU process), where the first square of
+        ``_lg1d_slope`` keeps its B0 term; otherwise it is 0 for |rho| < 1
+        and |K| max(0, rho*abar - 1) for |rho| = 1.  Read lazily, so that a
+        model whose constants overflow a float still simulates a given policy.
+        """
+        K, rho = self.K, self.rho
+        a = self.gamma_norm * self.B1 / (K * self.sigma_norm)
+        beta = 1.0 - rho**2 + (rho - a) ** 2
+        s2 = self.sigma_norm**2
+        b2 = self.B0**2 / (2.0 * s2)  # the first square of Gamma' at theta = 0
+        lower = b2 if beta == 0.0 else -K * max(0.0, rho * a - 1.0) if rho**2 == 1.0 else 0.0
+        b = self.B0 / self.sigma_norm
+        return _Lg1dConstants(
+            abar=a,
+            beta=beta,
+            theta_bar=1.0 if beta <= 1.0 else 1.0 / beta,
+            one_rho2=1.0 - rho**2,
+            scale=-(K / self.gamma_norm**2),
+            cross=a * (2.0 * rho - a),
+            half_b2=0.5 * b * b,
+            deriv_at_zero=b2 - self.gamma_norm**2 * self.B1**2 / (4.0 * s2 * K),
+            deriv_at_lower_limit=lower,
+        )
 
     def market(self) -> FactorMarket:
         """The record with sigma = |sigma| (1, 0), gamma = |gamma| (rho, sqrt(1-rho^2))."""
@@ -331,14 +377,6 @@ def bs_prob_exact(
 # ---------------------------------------------------------------------------
 
 
-def _lg1d_domain(model: LinearFactor1D) -> tuple[float, float, float]:
-    # (abar, beta, theta_bar), abar = |gamma| B1 / (K |sigma|) the loading-to-reversion ratio
-    a = model.gamma_norm * model.B1 / (model.K * model.sigma_norm)
-    beta = 1.0 - model.rho**2 + (model.rho - a) ** 2
-    theta_bar = 1.0 if beta <= 1.0 else 1.0 / beta
-    return a, beta, theta_bar
-
-
 def lg1d_beta_thetabar(model: LinearFactor1D) -> tuple[float, float]:
     """Curvature constant beta and right domain endpoint theta_bar = min(1/beta, 1).
 
@@ -346,29 +384,29 @@ def lg1d_beta_thetabar(model: LinearFactor1D) -> tuple[float, float]:
     (perfect-correlation degenerate case) means 1/beta = +inf, so
     theta_bar = 1.
     """
-    return _lg1d_domain(model)[1:]
+    return model._lg1d.beta, model._lg1d.theta_bar
 
 
-def _lg1d_quadratic(model: LinearFactor1D, theta: float) -> tuple[float, float, float, float]:
-    """(theta_bar, u, w, sqrt(disc)): the roots are -(K/|gamma|^2)(u -+ sqrt(disc))/w.
+def _lg1d_quadratic(model: LinearFactor1D, theta: float) -> tuple[float, float, float]:
+    """(u, w, sqrt(disc)): the roots are -(K/|gamma|^2)(u -+ sqrt(disc))/w.
 
     disc = (1-theta)(1-theta*beta) is clamped to zero just below zero and
     raises DomainError when more negative (theta past theta_bar).
     """
     _check_tilt(theta)
-    a, beta, theta_bar = _lg1d_domain(model)
-    disc = (1.0 - theta) * (1.0 - theta * beta)
+    k = model._lg1d
+    disc = (1.0 - theta) * (1.0 - theta * k.beta)
     if disc < 0.0:
         if not disc > -1e-12 * max(1.0, abs(theta)):
             raise DomainError(
-                f"theta={theta} beyond theta_bar={theta_bar}: negative discriminant"
+                f"theta={theta} beyond theta_bar={k.theta_bar}: negative discriminant"
             )
         disc = 0.0
-    u = 1.0 - theta * (1.0 - model.rho * a)
-    w = 1.0 - theta * (1.0 - model.rho**2)
+    u = 1.0 - theta * (1.0 - model.rho * k.abar)
+    w = 1.0 - theta * k.one_rho2
     if disc == math.inf:  # the product overflows below theta = -1e154; its square root does not
-        return theta_bar, u, w, math.sqrt(1.0 - theta) * math.sqrt(1.0 - theta * beta)
-    return theta_bar, u, w, math.sqrt(disc)
+        return u, w, math.sqrt(1.0 - theta) * math.sqrt(1.0 - theta * k.beta)
+    return u, w, math.sqrt(disc)
 
 
 def lg1d_riccati_roots(model: LinearFactor1D, theta: float) -> tuple[float, float]:
@@ -377,8 +415,8 @@ def lg1d_riccati_roots(model: LinearFactor1D, theta: float) -> tuple[float, floa
     C_minus is the stabilizing (ergodic) root and the only one consumed by
     the other operations.
     """
-    _, u, w, root = _lg1d_quadratic(model, theta)
-    scale = -(model.K / model.gamma_norm**2)
+    u, w, root = _lg1d_quadratic(model, theta)
+    scale = model._lg1d.scale
     return scale * (u - root) / w, scale * (u + root) / w
 
 
@@ -387,9 +425,10 @@ def _lg1d_solve(model: LinearFactor1D, theta: float) -> tuple[float, float]:
 
     C is the minus root; ErgodicityViolated if it fails the stability check.
     """
-    theta_bar, u, w, root = _lg1d_quadratic(model, theta)
+    u, w, root = _lg1d_quadratic(model, theta)
+    theta_bar = model._lg1d.theta_bar
     g2 = model.gamma_norm**2
-    c = -(model.K / g2) * (u - root) / w
+    c = model._lg1d.scale * (u - root) / w
     # K u + g2 w c is the closed-loop factor drift times (1 - theta) > 0, in
     # 1 - theta*(...) products so deep negative tilts keep its sign
     if theta < theta_bar - 1e-12 and theta != 0.0 and not model.K * u + g2 * w * c < 0.0:
@@ -422,7 +461,7 @@ def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
     s = model.sigma_norm
     # 1 + t1*rho^2 written as (1 - theta(1-rho^2))/(1-theta): the naive form
     # cancels catastrophically for deep negative tilts
-    w = 1.0 - theta * (1.0 - model.rho**2)
+    w = 1.0 - theta * model._lg1d.one_rho2
     value = (
         0.5 * g**2 * c
         + 0.5 * g**2 * d**2 * w / (1.0 - theta)
@@ -453,50 +492,39 @@ def _lg1d_slope(model: LinearFactor1D, theta: float) -> float:
     theta = -1e300.
     """
     _check_tilt(theta)
-    a, beta, theta_bar = _lg1d_domain(model)
-    if not theta < theta_bar:
-        raise DomainError(f"theta={theta} must be below theta_bar={theta_bar}")
-    rho, ra = model.rho, model.rho * (a - model.rho)
-    ob = 1.0 - theta * beta
-    w = 1.0 - theta * (1.0 - rho**2)
+    k = model._lg1d
+    if not theta < k.theta_bar:
+        raise DomainError(f"theta={theta} must be below theta_bar={k.theta_bar}")
+    rho, am = model.rho, k.abar - model.rho
+    ra = rho * am
+    ob = 1.0 - theta * k.beta
+    w = 1.0 - theta * k.one_rho2
     q = math.sqrt(1.0 - theta) / math.sqrt(ob)
     if ra < 0.0:
-        n = a * (2.0 * rho - a) * (w / ob) / (rho - (a - rho) * q)
+        n = k.cross * (w / ob) / (rho - am * q)
         n2q = n * n / q
     elif ra > 0.0:
-        v = a * (2.0 * rho - a) * (w / ob) / (rho + (a - rho) * q)
+        v = k.cross * (w / ob) / (rho + am * q)
         n2q = 4.0 * ra + v * v / q
     else:
-        n2q = (rho + (a - rho) * q) ** 2 / q
-    b = model.B0 / model.sigma_norm
-    return 0.5 * b * b / ob / ob - 0.25 * model.K * (n2q / w) / w
+        n2q = (rho + am * q) ** 2 / q
+    return k.half_b2 / ob / ob - 0.25 * model.K * (n2q / w) / w
 
 
 def lg1d_gamma_curve(model: LinearFactor1D, side: Side) -> DualCurve:
     """Dual curve for the factor model, with the closed-form derivative of ``_lg1d_slope``.
 
-    Gamma'(0), the stationary mean growth rate of the log-optimal policy,
-    is the closed form B0^2/(2|sigma|^2) - |gamma|^2 B1^2/(4|sigma|^2 K).
-    The curve is steep at theta_bar, and every limit is a closed form.
-    Gamma'(-inf) is B0^2/(2|sigma|^2) when beta = 0 (|rho| = 1 and abar = rho:
-    log-price an OU process), where the first square of ``_lg1d_slope`` keeps
-    its B0 term; otherwise it is 0 for |rho| < 1 and |K| max(0, rho*abar - 1)
-    for |rho| = 1.
+    The curve is steep at theta_bar; theta_bar and both finite limits,
+    Gamma'(0) and Gamma'(-inf), are the model's closed-form constants.
     """
-    a, beta, theta_bar = _lg1d_domain(model)
-    s2 = model.sigma_norm**2
-    b2 = model.B0**2 / (2.0 * s2)  # the first square of Gamma' at theta = 0
-    if beta == 0.0:
-        lower = b2
-    else:
-        lower = -model.K * max(0.0, model.rho * a - 1.0) if model.rho**2 == 1.0 else 0.0
+    k = model._lg1d
     return DualCurve(
         side,
         lambda theta: lg1d_gamma(model, theta),
         deriv=lambda theta: _lg1d_slope(model, theta),
-        theta_bar=theta_bar,
-        deriv_at_zero=b2 - model.gamma_norm**2 * model.B1**2 / (4.0 * s2 * model.K),
-        deriv_at_lower_limit=lower,
+        theta_bar=k.theta_bar,
+        deriv_at_zero=k.deriv_at_zero,
+        deriv_at_lower_limit=k.deriv_at_lower_limit,
         deriv_at_upper_limit=math.inf,
     )
 

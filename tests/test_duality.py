@@ -23,7 +23,6 @@ from growthtail import (
     frontier,
     lg1d_gamma_curve,
     models,
-    near_optimal_tilt,
     pr_bounds,
     solve_tilt,
 )
@@ -308,6 +307,31 @@ class TestNaNCurve:
             solve_tilt(curve, 0.5 if side is Side.UPSIDE else -0.5)
         with pytest.raises(BracketFailure, match="NaN"):
             conjugate(curve, 0.5 if side is Side.UPSIDE else -0.5)
+
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_given_deriv_at_zero_must_be_finite(self, side, value):
+        # a NaN Lambda'(0) used to pass every range guard: conjugate_upside at a
+        # free-regime target stalled in the bisection, solve_tilt returned a tilt
+        with pytest.raises(ValueError, match="deriv_at_zero"):
+            DualCurve(side, lambda t: t * t, deriv=lambda t: 2.0 * t, theta_bar=1.0,
+                      deriv_at_zero=value)
+
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_given_far_limit_must_not_be_nan(self, side):
+        with pytest.raises(ValueError, match="NaN"):
+            DualCurve(side, lambda t: t * t, theta_bar=1.0, deriv_at_zero=0.0,
+                      deriv_at_lower_limit=math.nan, deriv_at_upper_limit=math.nan)
+
+    def test_infinite_far_limits_stay_legal(self):
+        up = DualCurve(Side.UPSIDE, lambda t: t * t, theta_bar=1.0, deriv_at_upper_limit=math.inf)
+        down = DualCurve(Side.DOWNSIDE, lambda t: t * t, deriv_at_lower_limit=-math.inf)
+        assert up.steep and down.deriv_at_lower_limit == -math.inf
+
+
+def near_optimal_tilt(curve: DualCurve, n: int) -> float:
+    """theta_n of the free regime's nearly optimal sequence: Lambda'(theta_n) = Lambda'(0) + 1/n."""
+    return solve_tilt(curve, curve.deriv_at_zero + 1.0 / n)
 
 
 class TestNearOptimalTilt:

@@ -538,6 +538,13 @@ class TestEstimateProb:
         assert res.extras["zero_hits"]
         assert res.log_estimate is None
 
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_nan_target_rejected(self, bs, side):
+        # every comparison with NaN is False: it read as a zero-hit estimate
+        sample = simulate_paths(bs, const_policy(2.5), SimConfig(5.0, 0.1, 100, 24))
+        with pytest.raises(ValueError, match="NaN"):
+            estimate_prob(sample, math.nan, side)
+
 
 class TestLogLaplace:
     def test_zero_theta_is_exactly_zero(self, bs):
@@ -642,6 +649,12 @@ class TestTiltedEstimator:
                 with pytest.raises(ValueError, match="finite"):
                     tilted_estimate_prob(bs, const_policy(2.5), tilt, 0.2, side, cfg)
 
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_nan_target_rejected(self, bs, side):
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=100, seed=45)
+        with pytest.raises(ValueError, match="NaN"):
+            tilted_estimate_prob(bs, const_policy(2.5), 0.0, math.nan, side, cfg)
+
 
 class TestChebyshev:
     def test_trivial_at_zero(self, bs):
@@ -673,6 +686,16 @@ class TestChebyshev:
         sample = simulate_paths(bs, const_policy(3.0), cfg)
         with pytest.raises(ValueError):
             empirical_chebyshev_check(sample, -0.1, 0.2)
+
+    @pytest.mark.parametrize(
+        "theta, target", [(math.nan, 0.2), (math.inf, 0.2), (0.5, math.nan)]
+    )
+    def test_nan_theta_or_target_rejected(self, bs, theta, target):
+        # a NaN used to fail the bound's comparison: False, as if the engine were wrong
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=100, seed=55)
+        sample = simulate_paths(bs, const_policy(3.0), cfg)
+        with pytest.raises(ValueError):
+            empirical_chebyshev_check(sample, theta, target)
 
 
 class TestRateFit:
@@ -834,6 +857,18 @@ class TestConfigValidation:
         # the Philox key holds the step index in 32 bits below the substream
         with pytest.raises(ValueError, match="2\\*\\*32 or more steps"):
             SimConfig(horizon=horizon, dt=dt, n_paths=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "n_paths, seed", [(2.5, 1), (10.0, 1), (True, 1), ("10", 1), (10, 1.5), (10, False)]
+    )
+    def test_counts_must_be_integers(self, n_paths, seed):
+        # a float path count used to pass here and fail later in numpy with a TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(horizon=1.0, dt=0.1, n_paths=n_paths, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(horizon=1.0, dt=0.1, n_paths=np.int64(10), seed=np.uint32(7))
+        assert cfg.n_paths == 10 and cfg.seed == 7
 
     def test_largest_step_count_accepted(self):
         cfg = SimConfig(horizon=2.0**32 - 1, dt=1.0, n_paths=10, seed=1)

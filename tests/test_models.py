@@ -1,6 +1,7 @@
 """Model backend tests: closed forms, reductions, and root certificates."""
 
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,35 @@ class TestBlackScholes:
     def test_non_finite_field_rejected(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
             BlackScholesModel(**{"b": 0.1, "sigma": 0.2, field: bad})
+
+
+class TestConstantRecord:
+    """The closed forms' per-model constants always match the model's fields."""
+
+    BASE = LinearFactor1D(K=-1.2, B1=0.8, B0=0.4, sigma_norm=0.9, gamma_norm=1.1, rho=0.5)
+
+    @staticmethod
+    def constants(model):
+        curves = [lg1d_gamma_curve(model, side) for side in Side]
+        return lg1d_beta_thetabar(model), [
+            (c.theta_bar, c.deriv_at_zero, c.deriv_at_upper_limit, c.deriv_at_lower_limit)
+            for c in curves
+        ]
+
+    @pytest.mark.parametrize("field, value", [("B1", -2.0), ("rho", 1.0), ("rho", -0.3)])
+    def test_replace_derives_afresh(self, field, value):
+        before = self.constants(self.BASE)  # the base's constants are derived and kept
+        changed = replace(self.BASE, **{field: value})
+        fresh = LinearFactor1D(**{**asdict(self.BASE), field: value})
+        assert self.constants(changed) == self.constants(fresh) != before
+        assert self.constants(self.BASE) == before
+
+    def test_as_linear_factor_matches_fresh_construction(self, pr):
+        self.constants(pr)
+        lf = pr.as_linear_factor()
+        fresh = LinearFactor1D(K=pr.K, B1=pr.K, B0=0.5 * pr.sigma_norm**2,
+                               sigma_norm=pr.sigma_norm, gamma_norm=pr.sigma_norm, rho=1.0)
+        assert self.constants(lf) == self.constants(fresh) == self.constants(pr)
 
 
 class TestLinearFactorScalars:
