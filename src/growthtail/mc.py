@@ -44,17 +44,19 @@ All noise comes from counter-based Philox streams keyed by
 (seed, substream, step index), and path i always reads row i of its
 step's draw, so a run is bit-identical for a fixed seed, substream,
 path count and step grid.  In a run of 2**20 or more normals a one-thread
-pool is queued up to two handoffs of steps ahead of the one the caller
-advances; when the caller reaches a handoff that is not drawn yet, it
-draws the queued handoffs that the pool has not started itself, instead
-of waiting.  The pool is shut down on every exit, and handoffs it has not
-started are cancelled.  A shorter run draws its noise in line.  The draw
-of a step is the same on any thread, so which thread drew it changes no
-realised number.  With at most one asset, one factor and two Brownian
-drivers (the Black-Scholes, scalar factor and OU log-price models) the
-arithmetic is bit for bit that of a row-layout stepper holding (n, m)
-rows and forming its terms by matmul and einsum; on larger markets a sum
-may round differently in the last bits.  A run to T/4 takes the first
+pool is queued up to six handoffs of steps ahead of the one the caller
+advances, each in a buffer of its own; when the caller reaches a handoff
+that is not drawn yet, it draws the queued handoffs that the pool has not
+started itself, furthest first, instead of waiting.  The queue is deep
+enough that the pool seldom runs dry while the caller steps, so both CPUs
+draw for most of the run.  The pool is shut down on every exit, and
+handoffs it has not started are cancelled.  A shorter run draws its noise
+in line.  The draw of a step is the same on any thread, so which thread
+drew it changes no realised number.  With at most one asset, one factor
+and two Brownian drivers (the Black-Scholes, scalar factor and OU
+log-price models) the arithmetic is bit for bit that of a row-layout
+stepper holding (n, m) rows and forming its terms by matmul and einsum;
+on larger markets a sum may round differently in the last bits.  A run to T/4 takes the first
 steps of a run to T on the same grid, so a decay-rate fit reads every
 such horizon from one run's state where the horizon ends: each row is
 bit-identical to a run of its own on substream 0, and the rows are
@@ -105,8 +107,11 @@ _HANDOFF_NORMALS = 1 << 16
 # a thread costs 0.1-0.3 ms, and several ms while another thread spins on
 # the caller's CPU, as OpenBLAS's pool does for a while after numpy loads.
 _PREFETCH_NORMALS = 1 << 20
-# Noise buffers of a run drawn ahead: the handoff being stepped and two queued.
-_WINDOW = 3
+# Noise buffers of a run drawn ahead: the handoff being stepped and up to six
+# queued, 0.8 MB each on a 100k-path run.  With three, the caller drew half of
+# the handoffs itself and the pool ran dry behind it; eight or more measured
+# no faster than seven.
+_WINDOW = 7
 
 
 @dataclass(frozen=True)
@@ -331,10 +336,12 @@ def _run_paths(
     dot, tmp, KY, G = np.empty(n), np.empty(n), np.empty((m, n)), np.empty((n, m))
     # Noise comes in handoffs of consecutive steps, each of at least
     # _HANDOFF_NORMALS normals.  A long run queues up to _WINDOW - 1 handoffs
-    # ahead of the one it steps on a one-thread pool; rather than wait for a
-    # handoff, this thread draws the queued ones the pool has not started,
-    # furthest first, as the pool takes them in order.  A short run is drawn
-    # in line, one step at a time.
+    # ahead of the one it steps on a one-thread pool, handoff i in buffer
+    # i % _WINDOW: a handoff is queued only once the one that held its buffer
+    # has been stepped.  Rather than wait for a handoff, this thread draws the
+    # queued ones the pool has not started, furthest first, as the pool takes
+    # them in order; the pool keeps the nearer ones to draw meanwhile.  A short
+    # run is drawn in line, one step at a time.
     ahead = len(steps) * n * q >= _PREFETCH_NORMALS
     spans = _handoffs(len(steps), -(-_HANDOFF_NORMALS // (n * q)) if ahead else 1)
     fill = partial(_fill, cfg.seed, substream, steps)
@@ -502,10 +509,13 @@ def estimate_prob(sample: PathSample, target: float, side: Side) -> SimResult:
     )
 
 
-def _ess(weights: np.ndarray, kind: str) -> float:
-    """Effective sample size; WeightDegeneracy below 1% of the path count."""
+def _ess(weights: np.ndarray, kind: str, out: Optional[np.ndarray] = None) -> float:
+    """Effective sample size; WeightDegeneracy below 1% of the path count.
+
+    ``out``, an array of the weights' shape, takes their squares.
+    """
     s = weights.sum()
-    ess = float(s * s / np.sum(weights * weights))
+    ess = float(s * s / np.sum(np.multiply(weights, weights, out=out)))
     n = len(weights)
     if ess < _ESS_FLOOR * n:
         raise WeightDegeneracy(f"{kind}-weight ESS {ess:.1f} below {_ESS_FLOOR:.0%} of {n} paths")
@@ -587,13 +597,20 @@ def tilted_estimate_prob(
         ) from None
 
     def estimate(L, Y, logw, T):
-        """Self-normalized tail estimate from the state of the tilted run at horizon T."""
+        """Self-normalized tail estimate from the state of the tilted run at horizon T.
+
+        Runs in two path-length arrays, the weights and the indicator, since
+        earlier horizons are read while the run's noise buffers are live.
+        """
         ind = _tail_indicator(L, float(T), target, side).astype(float)
-        w = np.exp(logw - logw.max())
+        w = np.subtract(logw, logw.max())
+        np.exp(w, out=w)
         wsum = float(w.sum())
         p = float(w @ ind) / wsum
-        se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
-        ess = _ess(w, "tilted")
+        # (w * (ind - p)) ** 2, in place of the indicator
+        np.square(np.multiply(w, np.subtract(ind, p, out=ind), out=ind), out=ind)
+        se = float(np.sqrt(np.sum(ind))) / wsum
+        ess = _ess(w, "tilted", out=ind)
         return SimResult(
             estimate=p,
             std_error=se,
@@ -701,21 +718,25 @@ def empirical_chebyshev_check(
     Checks mean(1{L_T >= l T}) <= exp(-theta l T) mean(exp(theta L_T)).
     The bound holds pointwise for every sample set, so a False return can
     only signal an implementation error (or deliberately corrupted
-    ``weights``, the hook used by the negative-control test).  A theta that
-    is not finite and a NaN target are ValueErrors.
+    ``weights``, the hook used by the negative-control test, which stand
+    for exp(theta L_T)).  At theta = 0 the bound reads P <= 1 for every
+    target, -inf and +inf included.  A theta that is not finite and a NaN
+    target are ValueErrors.
     """
     if not math.isfinite(theta) or math.isnan(target):
         raise ValueError(f"theta must be finite and target not NaN, got {theta} and {target}")
     if theta < 0:
         raise ValueError("the upside Markov bound requires theta >= 0")
     cutoff = float(target) * sample.horizon
+    # 0 * inf is NaN, but at theta = 0 the factor exp(-theta l T) is 1
+    theta_cut = theta * cutoff if theta else 0.0
     lhs = float(np.mean(sample.L >= cutoff))
     if weights is not None:
-        rhs = math.exp(-theta * cutoff) * float(np.mean(weights))
+        rhs = math.exp(-theta_cut) * float(np.mean(weights))
         return lhs <= rhs * (1.0 + 1e-12)
     if lhs == 0.0:
         return True
     a = theta * sample.L
     amax = float(a.max())
-    log_rhs = -theta * cutoff + amax + math.log(float(np.mean(np.exp(a - amax))))
+    log_rhs = -theta_cut + amax + math.log(float(np.mean(np.exp(a - amax))))
     return math.log(lhs) <= log_rhs + 1e-12

@@ -296,7 +296,10 @@ def bs_gamma(model: BlackScholesModel, theta: float, pi: float) -> float:
     """Long-run scaled log-Laplace value of a constant-fraction strategy.
 
     Gamma(theta, pi) = theta * [b*pi - (1-theta) * sigma^2 * pi^2 / 2].
+    A theta or pi that is not finite is a ValueError.
     """
+    if not (math.isfinite(theta) and math.isfinite(pi)):
+        raise ValueError(f"theta and pi must be finite, got {theta} and {pi}")
     return theta * (model.b * pi - (1.0 - theta) * model.sigma**2 * pi**2 / 2.0)
 
 
@@ -334,9 +337,13 @@ def bs_policy(model: BlackScholesModel, target: float, side: Side) -> FeedbackPo
     Downside: 0 for negative targets (doing nothing keeps the growth rate
     at 0 exactly), otherwise sqrt(2*target/sigma^2) with the sign of b up
     to the threshold.  Either way it is the policy at the conjugate tilt.
+    A NaN or +inf target is TargetOutOfRange, as in rate_for_target; -inf
+    is in the free regime upside and unreachable downside.
     """
     q = _bs_half_snr(model)
     ell = float(target)
+    if math.isnan(ell) or ell == math.inf:
+        raise TargetOutOfRange("target is NaN" if math.isnan(ell) else "target is not finite")
     if side is Side.UPSIDE and ell <= q:
         pi = model.b / model.sigma**2
     elif side is Side.DOWNSIDE and ell > q:
@@ -356,11 +363,14 @@ def bs_prob_exact(
     Under a constant fraction pi the average growth rate is Gaussian with
     mean b*pi - sigma^2 pi^2/2 and variance sigma^2 pi^2 / T.  When pi = 0
     the law is degenerate at 0 and the result is the 0/1 indicator of the
-    target against 0.
+    target against 0.  A NaN target, a pi that is not finite and a horizon
+    that is not positive and finite are ValueErrors.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     ell = float(target)
+    if math.isnan(ell) or not math.isfinite(pi):
+        raise ValueError(f"target must not be NaN and pi must be finite, got {ell} and {pi}")
     if pi == 0.0:
         if side is Side.UPSIDE:
             return 1.0 if ell <= 0.0 else 0.0

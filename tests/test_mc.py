@@ -270,6 +270,47 @@ class TestDeterminism:
             "0x1.9a61e20f32e58p-2", "0x1.41b8a6b8af131p-9", "0x1.38605fa8ff4dap+15",
         ]
 
+    def test_pinned_tilted_rate_fit(self, bs, monkeypatch):
+        # 70000 paths x 20 steps: drawn ahead, one step per handoff; the T/4
+        # and T/2 rows are read mid-run, while the noise buffers are live.
+        # The state and the ESS are pinned to the bit.  The estimate and its
+        # error go through a BLAS dot product, w @ ind, whose last bits follow
+        # OpenBLAS's thread count, so they are checked against the reader's
+        # expressions as first written, on the same state.
+        cfg = SimConfig(horizon=2.0, dt=0.1, n_paths=70000, seed=29)
+        states = []  # (L, logw, T) where each row is read
+        run_paths = mc._run_paths
+
+        def keeping(*args, read, **kwargs):
+            def keep(L, Y, logw, T):
+                states.append((L.copy(), logw.copy(), T))
+                return read(L, Y, logw, T)
+
+            (L, Y, logw), readings = run_paths(*args, read=keep, **kwargs)
+            states.append((L, logw, args[2].horizon))
+            return (L, Y, logw), readings
+
+        monkeypatch.setattr(mc, "_run_paths", keeping)
+        fit = rate_fit(bs, const_policy(3.5), 0.245, Side.UPSIDE, [0.5, 1.0, 2.0], cfg,
+                       theta_tilt=2.0 / 7.0)
+        monkeypatch.undo()
+        assert [T for _, _, T in states] == [0.5, 1.0, 2.0]
+        assert [(digest(L), digest(logw)) for L, logw, _ in states] == [
+            ("e66f7f4ef5faf661", "de1345ff5dc135b3"),
+            ("90e5910cb690f6f8", "5c27df7955ae5af9"),
+            ("18e018f4677209e4", "af34e43838fd43d7"),
+        ]
+        assert hexes([row.result.extras["ess"] for row in fit.rows]) == [
+            "0x1.0c0c4b4c4d78ep+16", "0x1.069bee93b08cdp+16", "0x1.f8cd49ccc2f59p+15",
+        ]
+        for row, (L, logw, T) in zip(fit.rows, states):
+            ind = mc._tail_indicator(L, T, 0.245, Side.UPSIDE).astype(float)
+            w = np.exp(logw - logw.max())
+            wsum = float(w.sum())
+            p = float(w @ ind) / wsum
+            se = float(np.sqrt(np.sum((w * (ind - p)) ** 2))) / wsum
+            assert hexes([row.result.estimate, row.result.std_error]) == hexes([p, se])
+
     def test_pinned_short_last_step(self, bs):
         # 11 steps, the last one shortened, drawn in line
         cfg = SimConfig(horizon=1.05, dt=0.1, n_paths=3, seed=1)
@@ -364,6 +405,39 @@ class TestNoiseWorker:
         box = run_bounded(lambda: simulate_paths(bs, const_policy(2.5), cfg))
         assert box["error"] is error
         assert box["after"] == box["before"]
+
+    @pytest.mark.parametrize("tilt", [None, 2.0 / 7.0], ids=["direct", "tilted"])
+    def test_window_bounds_the_lead(self, bs, monkeypatch, tilt):
+        # handoff i reuses the buffer of handoff i - _WINDOW, so it may start
+        # only once the caller steps handoff i - _WINDOW + 1 or later; one step
+        # per handoff, over five windows, with the caller taking over draws
+        # from the slow pool
+        n_steps = 5 * mc._WINDOW
+        cfg = SimConfig(horizon=n_steps * 0.125, dt=0.125, n_paths=70000, seed=31)
+        stepped = []  # steps the caller has finished, one entry each
+        leads = []  # how far ahead of the step being stepped each draw starts
+        log = slow_worker_draws(monkeypatch)
+        slowed = mc._step_normals
+
+        def draw(seed, substream, step, out):
+            leads.append(step - len(stepped))
+            slowed(seed, substream, step, out)
+
+        monkeypatch.setattr(mc, "_step_normals", draw)
+        CD = bs.quadratic_pair(tilt) if tilt is not None else None
+        got, _ = mc._run_paths(
+            bs, const_policy(3.5), cfg, theta_tilt=tilt, CD=CD, substream=3,
+            horizons=[k * 0.125 for k in range(1, n_steps + 1)],
+            read=lambda L, Y, logw, T: stepped.append(T),
+        )
+        monkeypatch.undo()
+        assert len(stepped) == n_steps
+        assert sorted(step for step, _ in log) == list(range(n_steps))
+        assert any(step > 0 and not worker for step, worker in log)
+        assert max(leads) == mc._WINDOW - 1  # the whole window is used, and no more
+        want = inline_run_paths(bs, const_policy(3.5), cfg, theta_tilt=tilt, substream=3)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_caller_draw_error_reaches_caller(self, bs, monkeypatch):
         # the caller draws a queued handoff itself, and that draw fails
@@ -680,6 +754,18 @@ class TestChebyshev:
         sample = simulate_paths(bs, const_policy(3.0), cfg)
         assert not np.any(sample.L >= 100.0 * cfg.horizon)
         assert empirical_chebyshev_check(sample, 0.5, 100.0)
+
+    def test_zero_theta_at_infinite_targets(self, bs):
+        # at theta = 0 the bound reads P <= 1; theta * l T must not turn into 0 * inf = NaN
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=500, seed=56)
+        sample = simulate_paths(bs, const_policy(3.0), cfg)
+        for target in (-math.inf, math.inf):
+            assert empirical_chebyshev_check(sample, 0.0, target)
+            assert empirical_chebyshev_check(sample, 0.0, target, weights=np.ones(cfg.n_paths))
+        # the weights hook keeps its meaning: weights below 1 break the bound at P = 1
+        assert not empirical_chebyshev_check(
+            sample, 0.0, -math.inf, weights=np.full(cfg.n_paths, 0.5)
+        )
 
     def test_negative_theta_rejected(self, bs):
         cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=100, seed=54)

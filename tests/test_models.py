@@ -106,6 +106,46 @@ class TestBlackScholes:
         assert got == pytest.approx(bs_tail_oracle(bs, 3.5, 0.245, 10.0), abs=1e-13)
         assert got == pytest.approx(0.2635, abs=2e-4)
 
+    @pytest.mark.parametrize("ell", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_policy_rejects_nan_and_infinite_target(self, bs, side, ell):
+        # an infinite upside target used to give intercept inf, a NaN one NaN
+        for policy in (bs_policy, policy_for_target):
+            with pytest.raises(TargetOutOfRange):
+                policy(bs, ell, side)
+        with pytest.raises(TargetOutOfRange):
+            rate_for_target(bs, ell, side)
+
+    def test_policy_at_minus_infinity(self, bs):
+        # free upside (the log-optimal fraction), unreachable downside (all cash)
+        assert rate_for_target(bs, -math.inf, Side.UPSIDE).regime is Regime.FREE
+        assert bs_policy(bs, -math.inf, Side.UPSIDE).intercept == bs.b / bs.sigma**2
+        assert rate_for_target(bs, -math.inf, Side.DOWNSIDE).regime is Regime.UNREACHABLE
+        assert bs_policy(bs, -math.inf, Side.DOWNSIDE).intercept == 0.0
+
+    @pytest.mark.parametrize(
+        "theta, pi", [(math.nan, 2.5), (math.inf, 2.5), (0.5, math.nan), (0.5, -math.inf)]
+    )
+    def test_gamma_rejects_non_finite(self, bs, theta, pi):
+        with pytest.raises(ValueError, match="finite"):
+            bs_gamma(bs, theta, pi)
+
+    @pytest.mark.parametrize(
+        "pi, ell, horizon",
+        [(3.5, math.nan, 10.0), (math.nan, 0.245, 10.0), (math.inf, 0.245, 10.0),
+         (0.0, math.nan, 10.0), (3.5, 0.245, math.inf), (3.5, 0.245, math.nan)],
+    )
+    def test_prob_exact_rejects_nan(self, bs, pi, ell, horizon):
+        for side in Side:
+            with pytest.raises(ValueError):
+                bs_prob_exact(bs, pi, ell, horizon, side)
+
+    def test_prob_exact_infinite_target(self, bs):
+        # the tail of a Gaussian at +-inf: 0 or 1, not an error
+        assert bs_prob_exact(bs, 3.5, math.inf, 10.0, Side.UPSIDE) == 0.0
+        assert bs_prob_exact(bs, 3.5, -math.inf, 10.0, Side.UPSIDE) == 1.0
+        assert bs_prob_exact(bs, 3.5, -math.inf, 10.0, Side.DOWNSIDE) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BlackScholesModel(b=0.1, sigma=0.0)
