@@ -47,10 +47,6 @@ def _load_model(path: str):
     return models.model_from_dict(record)
 
 
-def _side(arg: str) -> Side:
-    return Side.UPSIDE if arg == "up" else Side.DOWNSIDE
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -108,15 +104,16 @@ def _policy_scalars(policy) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dual(model, side: Side, args):
+def cmd_dual(model, side: None, args):
     grid = _parse_grid(args.grid)
-    curve = models.dual_curve(model, side)
+    curve = models.dual_curve(model, Side.UPSIDE)  # one curve for tilts of either sign
+    if max(grid) >= curve.theta_bar:
+        raise ValueError(f"tilt grid reaches theta_bar={curve.theta_bar}; tilts must lie below it")
     samples = [(curve.value(t), curve.deriv(t)) for t in grid]
     rows = [{"theta": t, "lambda": v, "lambda_prime": d} for t, (v, d) in zip(grid, samples)]
     diag = duality.check_curve(curve, grid, samples=samples)
     payload = {
         "command": "dual",
-        "side": args.side,
         "rows": rows,
         "diagnostics": {
             "value_at_zero": diag.value_at_zero,
@@ -157,7 +154,7 @@ def cmd_frontier(model, side: Side, args):
     return payload, ["ell", "theta", "v", "policy_gain", "policy_intercept", "regime", "error"]
 
 
-def cmd_riccati(model, side: Side, args):
+def cmd_riccati(model, side: None, args):
     grid = _parse_grid(args.grid)
     sweep = riccati.theta_sweep(model, grid)
     m = model.m
@@ -353,13 +350,16 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
 
 def _verify_theta(model, side: Side, args, checks: list) -> None:
     theta = args.theta
+    exact = isinstance(model, models.BlackScholesModel)
+    if args.pi is not None and not exact:  # Lambda is the optimal policy's value
+        raise ValueError("verify --theta takes --pi only on the Black-Scholes model")
     policy = _build_policy(model, side, args)
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     sample = mc.simulate_paths(model, policy, cfg)
     res = mc.estimate_log_laplace(sample, theta)
-    lam = models.dual_curve(model, side).value(theta)
-    exact = isinstance(model, models.BlackScholesModel)
-    if exact and args.pi is not None:
+    if args.pi is None:
+        lam = models.dual_curve(model, side).value(theta)
+    else:
         lam = models.bs_gamma(model, theta, args.pi)
     band = 3.0 * res.std_error + (0.0 if exact else 2.0 / cfg.horizon)
     checks.append(
@@ -396,13 +396,13 @@ def cmd_verify(model, side: Side, args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, matrix: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, side: bool = True) -> None:
     p.add_argument("--model", required=True, help="model JSON file")
-    if not matrix:
+    if side:
         p.add_argument("--side", choices=("up", "down"), default="up")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(matrix=matrix)  # the model kind the command takes
+    p.set_defaults(matrix=False)  # the model kind the command takes
 
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dual", help="tabulate the dual curve on a tilt grid")
-    _add_common(p)
+    _add_common(p, side=False)
     p.add_argument("--grid", required=True, help="theta grid a:b:n")
     p.set_defaults(fn=cmd_dual)
 
@@ -436,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_frontier)
 
     p = sub.add_parser("riccati", help="matrix Riccati sweep with certificates")
-    _add_common(p, matrix=True)
+    _add_common(p, side=False)
     p.add_argument("--grid", required=True, help="theta grid a:b:n")
-    p.set_defaults(fn=cmd_riccati)
+    p.set_defaults(fn=cmd_riccati, matrix=True)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate for one target or tilt")
     _add_common(p)
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
                 "the riccati command needs a matrix model file" if args.matrix else
                 "this command needs a scalar model file; use the 'riccati' command for matrix models"
             )
-        payload, columns = args.fn(model, None if args.matrix else _side(args.side), args)
+        payload, columns = args.fn(model, Side(args.side) if "side" in args else None, args)
         _write_output(payload, columns, args.format, args.out)
         return 0 if payload.get("passed", True) else 1
     except _CONFIG_ERRORS as exc:

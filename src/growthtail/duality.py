@@ -55,8 +55,8 @@ __all__ = [
     "check_curve",
 ]
 
-# Relative clamp distance from the right domain endpoint, and the derivative
-# magnitude beyond which a probed far limit is treated as infinite.
+# Relative inset of the search's far end from a finite right endpoint, and the
+# derivative magnitude beyond which a probed far limit is treated as infinite.
 _BOUNDARY_CLAMP = 1e-9
 _STEEP_THRESHOLD = 1e12
 _TILT_FTOL = 1e-10
@@ -150,9 +150,9 @@ class DualCurve:
     limits; it carries nothing else.
 
     Upside curves live on [0, theta_bar) with theta_bar in (0, +inf];
-    downside curves live on (-inf, 0].  Lambda(0) = 0 always.  Evaluation
-    beyond the right endpoint is clamped just inside it, so that steep
-    curves (derivative diverging at theta_bar) never overflow.  Arguments
+    downside curves live on (-inf, 0].  Lambda(0) = 0 always.  ``value``
+    and ``deriv`` evaluate at the tilt they are given, of either sign; the
+    model's callables guard their own domain.  Arguments
     for the other side's endpoint (``theta_bar`` and the upper limit of a
     downside curve, the lower limit of an upside one) are ignored.
 
@@ -244,21 +244,12 @@ class DualCurve:
 
     # -- evaluation ---------------------------------------------------
 
-    def clamp(self, theta: float) -> float:
-        """Pull theta just inside the domain when it sits on/past an endpoint."""
-        if self.side is Side.UPSIDE:
-            if math.isfinite(self.theta_bar) and theta >= self.theta_bar:
-                return self.theta_bar * (1.0 - _BOUNDARY_CLAMP)
-            return max(theta, 0.0)
-        return min(theta, 0.0)
-
     def value(self, theta: float) -> float:
-        """Lambda(theta), evaluated at the clamped tilt."""
-        return float(self._evaluate(self.clamp(theta)))
+        """Lambda(theta)."""
+        return float(self._evaluate(theta))
 
     def deriv(self, theta: float) -> float:
         """Lambda'(theta): analytic when supplied, finite difference otherwise."""
-        theta = self.clamp(theta)
         if self._deriv is not None:
             return float(self._deriv(theta))
         return self._fd_deriv(theta)
@@ -569,7 +560,7 @@ def check_curve(
     thetas = [float(t) for t in thetas]
     if samples is None:
         samples = [(curve.value(t), curve.deriv(t)) for t in thetas]
-    points = sorted((curve.clamp(t), v, d) for t, (v, d) in zip(thetas, samples))
+    points = sorted((t, v, d) for t, (v, d) in zip(thetas, samples))
     grid, vals, ders = ([p[i] for p in points] for i in range(3))
     conv = 0.0
     for (t1, v1), (t2, v2), (t3, v3) in zip(

@@ -308,13 +308,18 @@ def bs_dual(model: BlackScholesModel, side: Side) -> DualCurve:
 
     The upside curve lives on [0, 1) and is steep (derivative diverges at
     1); the downside curve lives on (-infinity, 0] with derivative limit 0.
+    Both read any tilt below 1 (NaN gives NaN) and raise DomainError past it.
     """
     q = _bs_half_snr(model)
 
     def evaluate(theta: float) -> float:
+        if theta >= 1.0:
+            raise DomainError(f"theta={theta} must be below 1")
         return q * theta / (1.0 - theta)
 
     def deriv(theta: float) -> float:
+        if theta >= 1.0:
+            raise DomainError(f"theta={theta} must be below 1")
         # a product, not ** 2: it overflows to inf (slope 0) below theta = -1e154
         return q / ((1.0 - theta) * (1.0 - theta))
 
@@ -567,8 +572,8 @@ def pr_bounds(model: PlatenRebolledo) -> tuple[float, float]:
 def pr_tilt(model: PlatenRebolledo, target: float) -> float:
     """Tilt theta(target) = 1 - ((ell_upper-ell_lower)/(target-ell_lower))^2."""
     ell_lower, ell_upper = pr_bounds(model)
-    if not target > ell_lower:
-        raise TargetOutOfRange(f"target {target} must exceed ell_lower={ell_lower}")
+    if not ell_lower < target < math.inf:
+        raise TargetOutOfRange(f"target {target} must be finite and exceed ell_lower={ell_lower}")
     return 1.0 - ((ell_upper - ell_lower) / (target - ell_lower)) ** 2
 
 

@@ -73,6 +73,9 @@ class LinearFactorMD(FactorMarket):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("K", "B1", "B0", "sigma", "gamma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         m, d = self.m, self.d
         q = d + m
         if self.K.shape != (m, m):

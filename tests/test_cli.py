@@ -63,7 +63,7 @@ def run_json(capsys, argv):
 class TestDual:
     def test_bs_grid_values(self, model_file, capsys):
         code, rows, out = run_csv(
-            capsys, ["dual", "--model", model_file(BS), "--side", "up", "--grid", "0:0.5:3"]
+            capsys, ["dual", "--model", model_file(BS), "--grid", "0:0.5:3"]
         )
         assert code == 0
         lams = [float(r["lambda"]) for r in rows]
@@ -74,7 +74,7 @@ class TestDual:
 
     def test_factor_downside_row(self, model_file, capsys):
         code, rows, _ = run_csv(
-            capsys, ["dual", "--model", model_file(LG), "--side", "down", "--grid=-1:-1:1"]
+            capsys, ["dual", "--model", model_file(LG), "--grid=-1:-1:1"]
         )
         assert code == 0
         assert float(rows[0]["lambda"]) == pytest.approx(-0.15403910236246117, abs=1e-9)
@@ -94,7 +94,7 @@ class TestDual:
 
             monkeypatch.setattr(models, name, counting)
         code, _, _ = run_csv(
-            capsys, ["dual", "--model", model_file(LG05), "--side", "down", "--grid=-2:0:5"]
+            capsys, ["dual", "--model", model_file(LG05), "--grid=-2:0:5"]
         )
         assert code == 0
         assert calls == {"lg1d_gamma": 6, "_lg1d_slope": 5}
@@ -104,10 +104,30 @@ class TestDual:
         # the closed forms' products stay finite at theta = -1e300
         code, rows, _ = run_csv(
             capsys,
-            ["dual", "--model", model_file(record), "--side", "down", "--grid=-1e300:-1e300:1"],
+            ["dual", "--model", model_file(record), "--grid=-1e300:-1e300:1"],
         )
         assert code == 0
         assert all(math.isfinite(float(rows[0][k])) for k in ("theta", "lambda", "lambda_prime"))
+
+    def test_tilts_of_either_sign(self, model_file, capsys):
+        # each row holds the curve at its own tilt, on both sides of zero; no side is named
+        code, payload = run_json(capsys, ["dual", "--model", model_file(BS), "--grid=-1:0.5:4"])
+        assert code == 0 and "side" not in payload
+        rows = [(r["theta"], r["lambda"], r["lambda_prime"]) for r in payload["rows"]]
+        assert rows[0] == (-1.0, -0.0625, 0.03125) and rows[3] == (0.5, 0.125, 0.5)
+        assert [t for t, _, _ in rows] == [-1.0, -0.5, 0.0, 0.5]
+        assert payload["diagnostics"]["convex_ok"] is True
+
+    def test_grid_reaching_theta_bar_is_config_error(self, model_file, capsys):
+        assert main(["dual", "--model", model_file(BS), "--grid", "0:1:3"]) == 2
+        captured = capsys.readouterr()
+        assert "theta_bar=1.0" in captured.err and captured.out == ""
+
+    def test_side_rejected(self, model_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--model", model_file(BS), "--side", "up", "--grid", "0:0.5:3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --side up" in capsys.readouterr().err
 
 
 class TestParser:
@@ -118,7 +138,7 @@ class TestParser:
         b = cli.build_parser().parse_args(
             ["frontier", "--model", "m.json", "--side", "down", "--ell", "0.2"]
         )
-        assert (a.side, a.grid, a.fn) == ("up", "0:1:2", cli.cmd_dual)
+        assert "side" not in a and (a.grid, a.fn) == ("0:1:2", cli.cmd_dual)
         assert (b.side, b.grid, b.ell, b.fn) == ("down", None, 0.2, cli.cmd_frontier)
 
 
@@ -368,6 +388,39 @@ class TestVerify:
         assert row["exact_reference"] is True
         assert row["dual_value"] == models.bs_gamma(models.model_from_dict(BS), 0.3, 2.0)
 
+    @pytest.mark.parametrize("side, theta", [("up", "-0.5"), ("down", "0.5")])
+    def test_theta_mode_reference_is_the_curve_at_theta(self, model_file, capsys, side, theta):
+        # the reference is Lambda(theta) whichever side is named
+        code, payload = run_json(
+            capsys,
+            [
+                "verify", "--model", model_file(BS), "--side", side, f"--theta={theta}",
+                "--paths", "4000", "--horizon", "10", "--dt", "0.05", "--seed", "20240",
+            ],
+        )
+        (row,) = payload["rows"]
+        t = float(theta)
+        assert row["dual_value"] == pytest.approx(0.125 * t / (1.0 - t), rel=1e-15)
+        assert code == 0 and payload["passed"], payload
+
+    @pytest.mark.parametrize("record", [PR, LG, LG05], ids=["ou", "factor", "factor05"])
+    def test_theta_mode_fixed_fraction_needs_black_scholes(
+        self, model_file, capsys, monkeypatch, record
+    ):
+        # Lambda is the optimal policy's value: a fixed fraction has no reference
+        # here, so no path is stepped
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main(
+            ["verify", "--model", model_file(record), "--theta", "0.3", "--pi", "0.1",
+             "--paths", "500", "--horizon", "4", "--dt", "0.1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: verify --theta takes --pi only on the Black-Scholes model\n"
+
     def test_wrong_policy_flags_suboptimality(self, model_file, capsys):
         code, payload = run_json(
             capsys,
@@ -534,12 +587,12 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_verification_failure_is_exit_one(self, model_file, capsys):
-        # a constant-fraction override cannot reproduce the optimal dual
-        # value of the factor model
+        # a constant-fraction override does not reach the factor model's
+        # optimal downside decay rate: its tail probability does not decay
         code = main(
             [
-                "verify", "--model", model_file(PR), "--side", "down", "--theta=-1",
-                "--pi", "0.1", "--paths", "2000", "--horizon", "20",
+                "verify", "--model", model_file(PR), "--side", "down", "--ell", "0.05",
+                "--pi", "0.1", "--tilt", "0", "--paths", "2000", "--horizon", "20",
                 "--dt", "0.05", "--seed", "3",
             ]
         )
@@ -570,7 +623,7 @@ class TestExitCodes:
         "argv",
         [
             ["dual", "--grid", "oops"],
-            ["dual", "--side", "up", "--grid", "0:nan:3"],
+            ["dual", "--grid", "0:nan:3"],
             ["frontier", "--grid", "0.1:inf:3"],
             ["frontier", "--grid", "nan:0.3:3"],
             ["dual", "--grid=-inf:0.5:3"],
@@ -806,7 +859,7 @@ def cli_argvs(draw):
     misfit = [*BAD_RECORDS, "missing-file", "not-json",
               *(SCALAR_RECORDS if command == "riccati" else MATRIX_RECORDS)]
     argv = [command, "--model", _pick(draw, (sorted(fit), misfit))]
-    if command != "riccati":
+    if command not in ("dual", "riccati"):
         argv += ["--side", draw(st.sampled_from(["up", "down"]))]
     grid = ":".join([_pick(draw, GRID_BOUNDS), _pick(draw, GRID_BOUNDS), _pick(draw, GRID_SIZES)])
     if command in ("dual", "riccati"):
@@ -861,8 +914,8 @@ class TestFuzz:
     @pytest.mark.parametrize("record", [BS, PR, LG], ids=["bs", "ou", "factor"])
     def test_extreme_downside_tilt(self, model_file, capsys, record):
         # a finite tilt at which the closed forms overflow: a numerical failure, not a NaN row
-        code = main(["dual", "--model", model_file(record), "--side", "down",
-                     "--grid=-1e300:-1e300:1", "--format", "json"])
+        code = main(["dual", "--model", model_file(record), "--grid=-1e300:-1e300:1",
+                     "--format", "json"])
         assert code in (0, 3)
         if code == 0:
             assert not _has_nan(json.loads(capsys.readouterr().out)["rows"])

@@ -27,7 +27,13 @@ from growthtail import (
     solve_tilt,
 )
 from growthtail.duality import _BOUNDARY_CLAMP, _MAX_BRACKET_DOUBLINGS, _TILT_FTOL
-from growthtail.errors import BeyondSteepLimit, BracketFailure, GrowthTailError, TargetOutOfRange
+from growthtail.errors import (
+    BeyondSteepLimit,
+    BracketFailure,
+    DomainError,
+    GrowthTailError,
+    TargetOutOfRange,
+)
 
 from conftest import conjugate_oracle
 
@@ -476,11 +482,18 @@ class TestCurveChecks:
         assert check_curve(curve, [0.0, 0.25, 0.5]).ok
         assert not check_curve(curve, [0.0, 0.25, 0.5, 0.75]).ok
 
-    def test_evaluation_clamped_at_boundary(self, bs):
-        curve = bs_dual(bs, Side.UPSIDE)
-        assert math.isfinite(curve.value(1.0))
-        assert math.isfinite(curve.value(2.0))
-        assert curve.value(1.0) > 1e6
+    def test_tilt_at_or_past_theta_bar_raises(self, bs):
+        # evaluation is at the tilt given, on either side: nothing is clamped
+        # inside the domain
+        inside = 1.0 - _BOUNDARY_CLAMP
+        for curve in (bs_dual(bs, Side.UPSIDE), bs_dual(bs, Side.DOWNSIDE)):
+            for theta in (1.0, 2.0):
+                with pytest.raises(DomainError):
+                    curve.value(theta)
+                with pytest.raises(DomainError):
+                    curve.deriv(theta)
+            assert 1e6 < curve.value(inside) < math.inf
+            assert math.isfinite(curve.deriv(inside))
 
 
 # (curve, side, hex Lambda'(0), hex far limit, [(hex target, regime, hex tilt, hex rate)]):
@@ -677,6 +690,33 @@ class TestConjugateProperties:
         self._run(kind, side, check)
 
 
+class TestOneCurveForBothSides:
+    """A tilt's sign says which side it serves: both sides' curves read Lambda and
+    Lambda' at the tilt they are given, of either sign, and refuse one at or past
+    theta_bar."""
+
+    @pytest.mark.parametrize("kind", ["bs", "factor", "ou"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_sides_agree_bit_for_bit(self, kind, data):
+        model = _draw_model(kind, data)
+        up, down = models.dual_curve(model, Side.UPSIDE), models.dual_curve(model, Side.DOWNSIDE)
+        theta_bar = up.theta_bar
+        theta = data.draw(
+            st.one_of(st.floats(-1e6, 0.0), st.floats(0.0, theta_bar, exclude_max=True)),
+            label="theta",
+        )
+        for read in ("value", "deriv"):
+            a, b = getattr(up, read)(theta), getattr(down, read)(theta)
+            assert math.isfinite(a) and a.hex() == b.hex()
+        past = data.draw(st.sampled_from([theta_bar, 1.0, 1e6]) | st.floats(theta_bar, 1e6))
+        for curve in (up, down):
+            with pytest.raises(DomainError):
+                curve.value(past)
+            with pytest.raises(DomainError):
+                curve.deriv(past)
+
+
 def _factor_slope(model, theta):
     """Lambda'(theta) of the scalar factor curve, read from the side that holds theta."""
     return models.dual_curve(model, Side.UPSIDE if theta > 0.0 else Side.DOWNSIDE).deriv(theta)
@@ -706,8 +746,9 @@ class TestExactFactorSlope:
     def test_nondecreasing_down_to_minus_1e300(self, data):
         model = _draw_model("factor", data)
         theta_bar = models.lg1d_beta_thetabar(model)[1]
-        grid = list(-np.geomspace(1e300, 1e-3, 121)) + list(theta_bar * np.linspace(0, 1, 41))
-        slopes = [_factor_slope(model, float(t)) for t in grid]  # theta_bar reads just inside
+        grid = list(-np.geomspace(1e300, 1e-3, 121)) + list(theta_bar * np.linspace(0, 1, 41)[:-1])
+        grid.append(theta_bar * (1.0 - _BOUNDARY_CLAMP))  # just inside theta_bar
+        slopes = [_factor_slope(model, float(t)) for t in grid]
         assert not any(math.isnan(d) for d in slopes)
         assert all(b >= a for a, b in zip(slopes, slopes[1:]))
 

@@ -371,6 +371,21 @@ class TestPlatenRebolledo:
         with pytest.raises(TargetOutOfRange):
             pr_rates(pr, 0.2, Side.DOWNSIDE)
 
+    @pytest.mark.parametrize("ell", [math.inf, math.nan])
+    def test_target_not_finite_rejected(self, pr, ell):
+        # as rate_for_target does; a tilt of 1 would lie outside theta < 1
+        with pytest.raises(TargetOutOfRange):
+            pr_tilt(pr, ell)
+        for side in Side:
+            with pytest.raises(TargetOutOfRange):
+                pr_rates(pr, ell, side)
+            with pytest.raises(TargetOutOfRange):
+                rate_for_target(pr, ell, side)
+
+    def test_minus_infinity_keeps_its_regimes(self, pr):
+        assert pr_rates(pr, -math.inf, Side.UPSIDE).regime is Regime.FREE
+        assert pr_rates(pr, -math.inf, Side.DOWNSIDE).regime is Regime.UNREACHABLE
+
     def test_rates_match_generic_engine(self, pr):
         lf = pr.as_linear_factor()
         up = lg1d_gamma_curve(lf, Side.UPSIDE)

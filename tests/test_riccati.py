@@ -470,6 +470,16 @@ class TestModelValidation:
                 gamma=np.hstack([np.zeros((2, 2)), np.eye(2)]),
             )
 
+    @pytest.mark.parametrize("field", ["K", "B1", "B0", "sigma", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, field, bad):
+        # checked before the Hurwitz and rank checks, which cannot read a NaN
+        fields = dict(K=[[-1.0]], B1=[[1.0]], B0=[0.5], sigma=[[1.0, 0.0]], gamma=[[0.0, 1.0]])
+        value = np.array(fields[field], dtype=float)
+        value.flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            LinearFactorMD(**{**fields, field: value})
+
     def test_field_set_enforced(self):
         with pytest.raises(ValueError):
             model_from_dict({"K": [[-1.0]]})
