@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -57,26 +58,38 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _sanitize(value):
-    """JSON-ready copy: non-finite floats become their token strings."""
+def _json(value, pad: str, out: list) -> list:
+    """out with ``json.dumps(value, indent=2)``'s text appended, non-finite floats
+    as the strings "nan", "inf" and "-inf" and numpy scalars as floats."""
     if isinstance(value, float):
-        if math.isfinite(value):
-            return value
-        if math.isnan(value):
-            return "nan"
-        return "inf" if value > 0 else "-inf"
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return _sanitize(float(value))
-    return value
+        out.append(float.__repr__(value) if math.isfinite(value) else
+                   '"nan"' if math.isnan(value) else '"inf"' if value > 0 else '"-inf"')
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        is_dict, inner = isinstance(value, dict), pad + "  "
+        sep = "{\n" if is_dict else "[\n"
+        for item in value.items() if is_dict else value:  # a key that is not a str: TypeError
+            out.append(sep + inner + (encode_basestring_ascii(item[0]) + ": " if is_dict else ""))
+            _json(item[1] if is_dict else item, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + ("}" if is_dict else "]"))
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (np.floating, np.integer)):
+        _json(float(value), pad, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return out
 
 
 def _write_output(payload: dict, columns: list[str], fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
-        text = json.dumps(_sanitize(payload), indent=2)
+        text = "".join(_json(payload, "", []))
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -199,18 +212,21 @@ def _build_policy(model, side: Side, args, rate=None):
     return models.policy_at_tilt(model, args.theta)
 
 
-def _require_target(args, usage: str) -> None:
-    """--ell other than NaN or a finite --theta, checked before any path is stepped."""
+def _require_target(model, args, usage: str) -> None:
+    """--ell other than NaN or a finite --theta (below theta_bar without --pi), before any step."""
     if args.ell is None and args.theta is None:
         raise ValueError(usage)
     if args.ell is None and not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
+    if args.ell is None and args.pi is None:
+        if args.theta >= (bar := models.dual_curve(model, Side.UPSIDE).theta_bar):
+            raise ValueError(f"--theta {args.theta} reaches theta_bar={bar}; it must lie below")
     if args.ell is not None and math.isnan(args.ell):
         raise ValueError("target is NaN")
 
 
 def cmd_simulate(model, side: Side, args):
-    _require_target(args, "simulate needs --ell (tail probability) or --theta (log-Laplace)")
+    _require_target(model, args, "simulate needs --ell (tail probability) or --theta (log-Laplace)")
     cfg = mc.SimConfig(horizon=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     auto = args.ell is not None and args.tilt == "auto"  # one rate for the tilt and the policy
     rate = models.rate_for_target(model, args.ell, side) if auto else None
@@ -334,9 +350,10 @@ def _verify_ell(model, side: Side, args, checks: list) -> None:
                 }
             )
 
-    # informational: a fitted decay visibly below the dual rate flags a
-    # suboptimal policy (e.g. a --pi override)
-    suboptimal = fit.slope < v - max(0.35 * abs(v), 0.02)
+    # informational: a fitted decay visibly worse than the dual rate (below it
+    # upside, above it downside) flags a suboptimal policy (e.g. a --pi override)
+    gap = max(0.35 * abs(v), 0.02)
+    suboptimal = fit.slope < v - gap if side is Side.UPSIDE else fit.slope > v + gap
     checks.append(
         {
             "name": "optimality_gap",
@@ -375,7 +392,7 @@ def _verify_theta(model, side: Side, args, checks: list) -> None:
 
 
 def cmd_verify(model, side: Side, args):
-    _require_target(args, "verify needs --ell or --theta")
+    _require_target(model, args, "verify needs --ell or --theta")
     checks: list[dict] = []
     with mc.counting() as stats:
         if args.ell is not None:

@@ -334,9 +334,10 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
     noise = _SLOPE_NOISE * abs(aim) if curve._deriv is not None else math.inf
     known: dict[float, float] = {}
     clear = [-math.inf, math.inf]
+    deriv = curve.deriv
 
     def g(s: float) -> float:
-        value = known[s] = curve._slope(s) - aim
+        value = known[s] = (deriv(s) if up else -deriv(-s)) - aim
         if value < -noise:
             clear[0] = max(clear[0], s)
         elif value > noise:
@@ -368,24 +369,29 @@ def solve_tilt(curve: DualCurve, target: float) -> float:
 
     # The bisection runs in s; in theta a derivative below the target moves
     # the left end, which is the right end in s on the downside.  A NaN
-    # derivative is not below the target.
+    # derivative is not below the target.  A known g outside the noise is at or
+    # past a clear point, which decides alike, so only in-noise g are looked up.
+    # A midpoint evaluated here becomes an end and every later one lies inside
+    # the ends, so it is never looked up and moves no clear point that matters.
+    band = {s: v for s, v in known.items() if not (v < -noise or v > noise)}
+    clear_lo, clear_hi = clear
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # every later step would evaluate this endpoint again
-        if mid in known:
-            value = known[mid]
-        elif mid <= clear[0]:
+        if mid in band:
+            value = band[mid]
+        elif mid <= clear_lo:
             value = -math.inf
-        elif mid >= clear[1]:
+        elif mid >= clear_hi:
             value = math.inf
         else:
-            value = g(mid)
+            value = known[mid] = (deriv(mid) if up else -deriv(-mid)) - aim
         if value < 0.0 if up else not value > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= 1e-16 * (hi if hi > 1.0 else 1.0):  # 0 < lo < hi
             break
     mid = 0.5 * (lo + hi)
     theta, residual = sign * mid, sign * (known[mid] if mid in known else g(mid))

@@ -174,10 +174,12 @@ def _newton(coef, C0: np.ndarray, theta: float) -> tuple[np.ndarray, float, floa
         if res > 0.9 * prev_res:
             break  # stalled
         prev_res = res
-        A_cl = Kt + M @ C
-        lin = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
+        # kron(I, A') + kron(A', I), entry [(i, k), (j, l)] = I_ij A'_kl + A'_ij I_kl
+        At = (Kt + M @ C).T
+        lin = eye[:, None, :, None] * At[None, :, None, :]
+        lin += lin.transpose(1, 0, 3, 2)
         try:
-            X = np.linalg.solve(lin, (-2.0 * R).reshape(-1)).reshape(m, m)
+            X = np.linalg.solve(lin.reshape(m * m, m * m), (-2.0 * R).reshape(-1)).reshape(m, m)
         except np.linalg.LinAlgError as exc:
             raise NoStabilizingSolution(
                 f"Newton linearization singular at theta={theta}"
@@ -207,7 +209,9 @@ def _solve_C(coef, theta: float) -> tuple[np.ndarray, float, float]:
     m = Kt.shape[0]
     if theta == 0.0:
         return np.zeros((m, m)), 0.0, _eig_max_real(Kt)
-    w, V = np.linalg.eig(np.block([[Kt, M], [-2.0 * N, -Kt.T]]))
+    H = np.empty((2 * m, 2 * m))
+    H[:m, :m], H[:m, m:], H[m:, :m], H[m:, m:] = Kt, M, -2.0 * N, -Kt.T
+    w, V = np.linalg.eig(H)
     X = V[:, np.argsort(w.real)[:m]]
     try:
         C = np.linalg.solve(X[:m].T, X[m:].T).T.real

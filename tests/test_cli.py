@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -434,6 +435,20 @@ class TestVerify:
         assert gap["suboptimal"] is True
         assert gap["slope"] < -0.02
 
+    def test_downside_wrong_policy_flags_suboptimality(self, model_file, capsys):
+        # downside, a suboptimal policy's tail decays more slowly: its slope is above v
+        code, payload = run_json(
+            capsys,
+            [
+                "verify", "--model", model_file(PR), "--side", "down", "--ell", "0.05",
+                "--pi", "0.1", "--tilt", "0", "--paths", "2000", "--horizon", "20",
+                "--dt", "0.05", "--seed", "3",
+            ],
+        )
+        gap = next(c for c in payload["rows"] if c["name"] == "optimality_gap")
+        assert gap["suboptimal"] is True
+        assert gap["slope"] > gap["v"] + 0.02
+
 
     def test_upside_tilted_verify_simulates_direct_sample_once(
         self, model_file, capsys, monkeypatch
@@ -753,6 +768,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "record, theta, bar",
+        [(BS, "1.5", "1.0"), (BS, "1.0", "1.0"), (LG05, "0.99", "0.4034311012728278")],
+        ids=["bs-past", "bs-at", "factor05-past"],
+    )
+    def test_theta_at_or_past_theta_bar(self, model_file, capsys, monkeypatch, command, record,
+                                        theta, bar):
+        # the tilt is the user's, as for --tilt and a dual grid: bad input, not a DomainError
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths stepped before theta was checked")
+
+        monkeypatch.setattr(mc, "_run_paths", no_paths)
+        code = main([command, "--model", model_file(record), "--theta", theta,
+                     "--paths", "100", "--horizon", "4", "--dt", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --theta {float(theta)} reaches theta_bar={bar}")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_theta_past_theta_bar_with_fixed_fraction(self, model_file, capsys, command):
+        # a fixed fraction's log-Laplace value is finite past theta_bar (bs_gamma)
+        code = main([command, "--model", model_file(BS), "--theta", "1.5", "--pi", "0.1",
+                     "--paths", "200", "--horizon", "1", "--dt", "0.1"])
+        assert code == 0, capsys.readouterr().err
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("pi", [["--pi", "5"], []], ids=["pi", "policy"])
     @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -919,3 +960,64 @@ class TestFuzz:
         assert code in (0, 3)
         if code == 0:
             assert not _has_nan(json.loads(capsys.readouterr().out)["rows"])
+
+
+def sanitize(value):
+    """Reference: a JSON-ready copy, non-finite floats as their token strings."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {k: sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [sanitize(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        return sanitize(float(value))
+    return value
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5e-310, math.nan, math.inf, -math.inf, 1e308]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x9F)),  # control characters and DEL
+    st.text(st.characters(min_codepoint=0x80)),  # non-ASCII, astral planes included
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonOutput:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(payload=st.dictionaries(st.text(max_size=6), _VALUES, max_size=5))
+    def test_bytes_of_json_dumps(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_output(payload, [], "json", None)
+        assert out.getvalue() == json.dumps(sanitize(payload), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.bool_(True), object(), np.zeros(2), {1, 2}, b"bytes", 1 + 2j, {1: 2.0}],
+        ids=["numpy-bool", "object", "array", "set", "bytes", "complex", "int-key"],
+    )
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            cli._write_output({"rows": [{"x": [value]}]}, [], "json", None)

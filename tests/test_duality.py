@@ -26,7 +26,13 @@ from growthtail import (
     pr_bounds,
     solve_tilt,
 )
-from growthtail.duality import _BOUNDARY_CLAMP, _MAX_BRACKET_DOUBLINGS, _TILT_FTOL
+from growthtail import duality
+from growthtail.duality import (
+    _BOUNDARY_CLAMP,
+    _MAX_BRACKET_DOUBLINGS,
+    _SLOPE_NOISE,
+    _TILT_FTOL,
+)
 from growthtail.errors import (
     BeyondSteepLimit,
     BracketFailure,
@@ -921,3 +927,139 @@ class TestStopRule:
             curve = models.dual_curve(_draw_model(kind, data), side)
         ell, _ = TestConjugateProperties._target(curve, frac)
         assert _outcome(solve_tilt, curve, ell) == _outcome(capped_solve_tilt, curve, ell)
+
+
+def lookup_first_solve_tilt(curve: DualCurve, target: float) -> float:
+    """Reference copy of ``solve_tilt`` as it was before its loop read only in-noise
+    values from the dict: every midpoint is looked up among all known values before
+    the clear points decide it, and slopes are read through ``curve._slope``."""
+    ell = float(target)
+    if not math.isfinite(ell):
+        raise TargetOutOfRange("target is NaN" if math.isnan(ell) else "target is not finite")
+    up = curve.side is Side.UPSIDE
+    sign, reach = curve._sign, curve._reach
+    aim = sign * ell
+    d0 = curve.deriv_at_zero
+    if aim <= sign * d0:
+        raise TargetOutOfRange(
+            f"target {ell} at or {'below' if up else 'above'} the derivative at zero ({d0})"
+        )
+    if aim >= curve._far_slope:
+        far = "above the boundary derivative limit" if up else "below the derivative limit at -inf"
+        raise TargetOutOfRange(f"target {ell} at or {far} ({sign * curve._far_slope})")
+    noise = _SLOPE_NOISE * abs(aim) if curve._deriv is not None else math.inf
+    known = {}
+    clear = [-math.inf, math.inf]
+
+    def g(s):
+        value = known[s] = curve._slope(s) - aim
+        if value < -noise:
+            clear[0] = max(clear[0], s)
+        elif value > noise:
+            clear[1] = min(clear[1], s)
+        return value
+
+    lo = 1e-12 * min(reach, 1.0)
+    short, g_short = 0.0, sign * d0 - aim
+    if math.isfinite(reach):
+        hi = reach * (1.0 - _BOUNDARY_CLAMP)
+        g_hi = g(hi)
+        if g_hi <= 0.0:
+            raise BracketFailure(f"derivative never exceeds target {ell} inside the domain")
+    else:
+        hi = 1.0
+        for _ in range(_MAX_BRACKET_DOUBLINGS):
+            g_hi = g(hi)
+            if g_hi > 0.0:
+                break
+            short, g_short = hi, g_hi
+            hi *= 2.0
+        else:
+            raise BracketFailure(
+                f"derivative never {'exceeds' if up else 'falls below'} target {ell} "
+                f"{'up' if up else 'down'} to theta={sign * hi}"
+            )
+    if noise < math.inf:
+        duality._probe(g, clear, noise, short, g_short, hi, g_hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid in known:
+            value = known[mid]
+        elif mid <= clear[0]:
+            value = -math.inf
+        elif mid >= clear[1]:
+            value = math.inf
+        else:
+            value = g(mid)
+        if value < 0.0 if up else not value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+            break
+    mid = 0.5 * (lo + hi)
+    theta, residual = sign * mid, sign * (known[mid] if mid in known else g(mid))
+    if not abs(residual) <= _TILT_FTOL * max(1.0, abs(ell)) and not (
+        noise < math.inf and math.nextafter(lo, hi) == hi and g(lo) < 0.0 < g(hi)
+    ):
+        raise BracketFailure(
+            f"bisection stalled at theta={theta} with derivative residual {residual:.3e}"
+        )
+    return theta
+
+
+def noisy_bs_curve(side: Side) -> DualCurve:
+    """BS curve with Lambda' up to 2^-49 relative off, in no order from one float to the next."""
+
+    def deriv(t):
+        return Q / ((1.0 - t) * (1.0 - t)) * (1.0 + 2.0**-49 * math.sin(1e16 * t))
+
+    return DualCurve(
+        side, lambda t: Q * t / (1.0 - t), deriv=deriv, theta_bar=1.0,
+        deriv_at_zero=Q, deriv_at_lower_limit=0.0, deriv_at_upper_limit=math.inf,
+    )
+
+
+class TestBandOnlyLoop:
+    """``solve_tilt`` evaluates the arguments, in the order, and returns the tilt bits
+    and errors of the loop that looked up every known value first."""
+
+    @staticmethod
+    def _trace(solve, curve, ell):
+        curve.deriv_at_zero, curve._far_slope  # the cached limits are read outside the trace
+        calls = []
+        deriv = DualCurve.deriv
+        DualCurve.deriv = lambda self, t: calls.append(t) or deriv(self, t)
+        try:
+            outcome = _outcome(solve, curve, ell)
+        finally:
+            DualCurve.deriv = deriv
+        return outcome, [t.hex() for t in calls]
+
+    def _check(self, curve, ell):
+        new = self._trace(solve_tilt, curve, ell)
+        assert new == self._trace(lookup_first_solve_tilt, curve, ell)
+        return new
+
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    @pytest.mark.parametrize("kind", ["bs", "factor", "ou", "finite_difference"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), frac=st.floats(-0.25, 1.25))
+    def test_same_evaluations_and_tilt(self, kind, side, data, frac):
+        if kind == "finite_difference":
+            m = _draw_model("bs", data)
+            curve = black_box_bs(side, q=m.b**2 / (2.0 * m.sigma**2))
+        else:
+            curve = models.dual_curve(_draw_model(kind, data), side)
+        ell, _ = TestConjugateProperties._target(curve, frac)
+        self._check(curve, ell)
+
+    @pytest.mark.parametrize("side", [Side.UPSIDE, Side.DOWNSIDE])
+    def test_same_evaluations_under_rounding_noise(self, side):
+        for frac in np.linspace(0.05, 0.95, 19):
+            curve = noisy_bs_curve(side)
+            ell, _ = TestConjugateProperties._target(curve, float(frac))
+            outcome, calls = self._check(curve, ell)
+            assert isinstance(outcome, str) and len(calls) > 3

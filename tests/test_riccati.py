@@ -483,3 +483,87 @@ class TestModelValidation:
     def test_field_set_enforced(self):
         with pytest.raises(ValueError):
             model_from_dict({"K": [[-1.0]]})
+
+
+def kron_newton(coef, C0, theta):
+    """Reference copy of ``riccati._newton`` with its system built by two ``np.kron``."""
+    M, Kt, N, _, _ = coef
+    m = Kt.shape[0]
+    eye = np.eye(m)
+    scale = max(1.0, float(np.linalg.norm(N, "fro")))
+    C = 0.5 * (C0 + C0.T)
+    best_C, best_res = C, math.inf
+    prev_res = math.inf
+    for it in range(riccati._NEWTON_MAXIT):
+        R, res = riccati._residual(C, coef)
+        if res < best_res:
+            best_C, best_res = C, res
+        if it and res <= riccati._NEWTON_POLISH * scale:
+            break
+        if res > 0.9 * prev_res:
+            break
+        prev_res = res
+        A_cl = Kt + M @ C
+        lin = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
+        try:
+            X = np.linalg.solve(lin, (-2.0 * R).reshape(-1)).reshape(m, m)
+        except np.linalg.LinAlgError as exc:
+            raise NoStabilizingSolution(
+                f"Newton linearization singular at theta={theta}"
+            ) from exc
+        X = 0.5 * (X + X.T)
+        if not np.all(np.isfinite(X)):
+            raise NoStabilizingSolution(f"Newton step diverged at theta={theta}")
+        C = C + X
+    if best_res > riccati._NEWTON_TOL * scale:
+        raise NoStabilizingSolution(
+            f"Newton did not reach residual {riccati._NEWTON_TOL} "
+            f"at theta={theta} (best {best_res:.3e})"
+        )
+    eig = _eig_max_real(Kt + M @ best_C)
+    if not eig <= riccati._HURWITZ_MARGIN:
+        raise NoStabilizingSolution(f"converged root is not stabilizing at theta={theta}")
+    return best_C, best_res, eig
+
+
+def block_solve_C(coef, theta):
+    """Reference copy of ``riccati._solve_C`` with its Hamiltonian built by ``np.block``."""
+    M, Kt, N, _, _ = coef
+    m = Kt.shape[0]
+    if theta == 0.0:
+        return np.zeros((m, m)), 0.0, _eig_max_real(Kt)
+    w, V = np.linalg.eig(np.block([[Kt, M], [-2.0 * N, -Kt.T]]))
+    X = V[:, np.argsort(w.real)[:m]]
+    try:
+        C = np.linalg.solve(X[:m].T, X[m:].T).T.real
+    except np.linalg.LinAlgError as exc:
+        raise NoStabilizingSolution(
+            f"stable subspace of the Hamiltonian is not a graph at theta={theta}"
+        ) from exc
+    return kron_newton(coef, C, theta)
+
+
+def _row_bits(point):
+    quad = point.quad
+    arrays = (quad.C.tobytes(), quad.D.tobytes()) if quad is not None else None
+    return point.theta, point.gamma, point.residual, point.eig_max_real, arrays, point.error
+
+
+class TestAssembly:
+    """The Newton system and the Hamiltonian give the rows of np.kron and np.block bit for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep_rows_equal_kron_reference(self, monkeypatch, m, seed):
+        rng = np.random.default_rng([seed, m])
+        model = random_md(rng, m, int(rng.integers(1, 4)))
+        # negative tilts, zero, the domain and past its boundary (1 - 1e-9 always fails)
+        grid = [-3.0, -0.7, 0.0, 0.05, 0.2, 0.45, 0.8, 0.97, 1.0 - 1e-9]
+        sweep = theta_sweep(model, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(riccati, "_newton", kron_newton)
+            patch.setattr(riccati, "_solve_C", block_solve_C)
+            reference = theta_sweep(model, grid)
+        assert [_row_bits(p) for p in sweep.points] == [_row_bits(p) for p in reference.points]
+        assert sweep.breakdown_theta == reference.breakdown_theta
+        assert sweep.points[0].ok and not sweep.points[-1].ok
