@@ -42,26 +42,29 @@ Reproducibility
 ---------------
 All noise comes from counter-based Philox streams keyed by
 (seed, substream, step index), and path i always reads row i of its
-step's draw, so a run is bit-identical for a fixed seed, substream,
-path count and step grid.  In a run of 2**20 or more normals a one-thread
-pool is queued up to six handoffs of steps ahead of the one the caller
-advances, each in a buffer of its own; when the caller reaches a handoff
-that is not drawn yet, it draws the queued handoffs that the pool has not
-started itself, furthest first, instead of waiting.  The queue is deep
-enough that the pool seldom runs dry while the caller steps, so both CPUs
-draw for most of the run.  The pool is shut down on every exit, and
-handoffs it has not started are cancelled.  A shorter run draws its noise
-in line.  The draw of a step is the same on any thread, so which thread
-drew it changes no realised number.  With at most one asset, one factor
-and two Brownian drivers (the Black-Scholes, scalar factor and OU
-log-price models) the arithmetic is bit for bit that of a row-layout
-stepper holding (n, m) rows and forming its terms by matmul and einsum;
-on larger markets a sum may round differently in the last bits.  A run to T/4 takes the first
-steps of a run to T on the same grid, so a decay-rate fit reads every
-such horizon from one run's state where the horizon ends: each row is
-bit-identical to a run of its own on substream 0, and the rows are
-correlated.  One run layer maps the model and policy to arrays and the
-horizons to step counts, and hands its state to a reader at each.
+step's draw, so the paths, log-weights and ESS of a run are bit-identical
+for a fixed seed, substream, path count and step grid; the tilted estimate
+and its standard error go through a BLAS dot product, w @ ind, whose last
+bits follow OpenBLAS's thread count.  Every run draws its noise in
+handoffs of the fewest consecutive steps that hold 2**16 normals, the last
+perhaps shorter.  A run of 2**20 or more normals queues up to six handoffs
+ahead of the one the caller advances on a one-thread pool, each in a
+buffer of its own; when the caller reaches a handoff that is not drawn
+yet, it draws the queued handoffs that the pool has not started itself,
+furthest first, instead of waiting, so both CPUs draw for most of the run.
+The pool is shut down on every exit, and handoffs it has not started are
+cancelled.  A shorter run draws the same handoffs in line.  The draw of a
+step is the same on any thread, so which thread drew it changes no
+realised number.  With at most one asset, one factor and two Brownian
+drivers (the Black-Scholes, scalar factor and OU log-price models) the
+arithmetic is bit for bit that of a row-layout stepper holding (n, m) rows
+and forming its terms by matmul and einsum; on larger markets a sum may
+round differently in the last bits.  A run to T/4 takes the first steps of
+a run to T on the same grid, so a decay-rate fit reads every such horizon
+from one run's state where the horizon ends: each row is bit-identical to
+a run of its own on substream 0, and the rows are correlated.  One run
+layer maps the model and policy to arrays and the horizons to step counts,
+and hands its state to a reader at each.
 """
 
 from __future__ import annotations
@@ -250,12 +253,6 @@ def _leave_cpu(cpu: Optional[int]) -> None:
         pass
 
 
-def _handoffs(n_steps: int, run: int) -> list:
-    """Consecutive spans of ``run`` steps covering the run; the last also takes the remainder."""
-    starts = range(0, max(n_steps // run, 1) * run, run)
-    return [range(a, b) for a, b in zip(starts, [*starts[1:], n_steps])]
-
-
 def _fill(seed: int, substream: int, steps: list, span: range, buf: np.ndarray) -> None:
     """Brownian increments sqrt(h) * N(0, 1) of the steps in span, one per row of buf."""
     for i, k in enumerate(span):
@@ -334,34 +331,29 @@ def _run_paths(
     pi, b, A, H, z = (np.empty((rows, P)) for rows in (d, d, q, q, m))
     drift, half_HH, scaled, ptmp = (np.empty(P) for _ in range(4))
     dot, tmp, KY, G = np.empty(n), np.empty(n), np.empty((m, n)), np.empty((n, m))
-    # Noise comes in handoffs of consecutive steps, each of at least
-    # _HANDOFF_NORMALS normals.  A long run queues up to _WINDOW - 1 handoffs
-    # ahead of the one it steps on a one-thread pool, handoff i in buffer
-    # i % _WINDOW: a handoff is queued only once the one that held its buffer
-    # has been stepped.  Rather than wait for a handoff, this thread draws the
-    # queued ones the pool has not started, furthest first, as the pool takes
-    # them in order; the pool keeps the nearer ones to draw meanwhile.  A short
-    # run is drawn in line, one step at a time.
-    ahead = len(steps) * n * q >= _PREFETCH_NORMALS
-    spans = _handoffs(len(steps), -(-_HANDOFF_NORMALS // (n * q)) if ahead else 1)
+    # Handoffs of the fewest steps that hold _HANDOFF_NORMALS normals, the last
+    # perhaps shorter.  A long run queues up to _WINDOW - 1 ahead on a one-thread
+    # pool, handoff i in buffer i % _WINDOW once the handoff that held it has
+    # been stepped; rather than wait, this thread draws the queued ones the pool
+    # has not started, furthest first, and leaves the nearer ones to the pool.
+    # A short run draws its handoffs in line, into one buffer.
+    run = -(-_HANDOFF_NORMALS // max(n * q, 1))  # q = 0: no noise to draw
+    spans = [range(a, min(a + run, len(steps))) for a in range(0, len(steps), run)]
     fill = partial(_fill, cfg.seed, substream, steps)
-    bufs = [np.empty((len(spans[-1]), n, q))]  # the last span is the longest
+    bufs = [np.empty((len(spans[0]), n, q))]
     pool = None
-    if ahead and len(spans) > 1:
+    if len(steps) * n * q >= _PREFETCH_NORMALS and len(spans) > 1:
         # here, not at the top: it adds about 7 ms to every start-up
-        from concurrent.futures import Future, ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(1, initializer=_leave_cpu, initargs=(_current_cpu(),))
         bufs += [np.empty_like(bufs[0]) for _ in spans[1:_WINDOW]]
         queued = {i: pool.submit(fill, spans[i], bufs[i]) for i in range(1, len(bufs))}
-        drawn = Future()  # stands for a handoff this thread drew
-        drawn.set_result(None)
     try:
         # a blow-up is reported by the finiteness check, not by a numpy warning first
         with np.errstate(over="ignore", invalid="ignore"):
             fill(spans[0], bufs[0])
             j = 0
-            t = 0.0
             for k, h in enumerate(steps):
                 if m or k == 0:
                     for a in range(d):
@@ -391,14 +383,15 @@ def _run_paths(
                         nxt = j + len(bufs) - 1
                         if nxt < len(spans):
                             queued[nxt] = pool.submit(fill, spans[nxt], bufs[nxt % len(bufs)])
-                        pending = queued.pop(j)
+                        pending = queued.pop(j, None)  # None: this thread drew it
                         for i in sorted(queued, reverse=True):
-                            if pending.done():
+                            if pending is None or pending.done():
                                 break
                             if queued[i].cancel():  # only if the pool has not started it
                                 fill(spans[i], bufs[i % len(bufs)])
-                                queued[i] = drawn
-                        pending.result()  # re-raises the draw's own exception
+                                del queued[i]
+                        if pending is not None:
+                            pending.result()  # re-raises the draw's own exception
                 dW = bufs[j % len(bufs)][k - spans[j].start]   # sqrt(h) * N(0, 1), (n, q)
                 dWc = dW.T                                      # its q columns
                 if tilted:
@@ -419,15 +412,11 @@ def _run_paths(
                         KY[i] *= h
                     KY += np.matmul(dW, gamma.T, out=G).T
                     Y += KY
-                t += h
                 if (k + 1) % _BLOWUP_CHECK_INTERVAL == 0 or k + 1 in marks or k + 1 == len(steps):
-                    bad = ~np.isfinite(L)
-                    if m:
-                        bad |= ~np.isfinite(Y).all(axis=0)
-                    if tilted:
-                        bad |= ~np.isfinite(logw)
+                    bad = ~(np.isfinite(L) & np.isfinite(logw) & np.isfinite(Y).all(axis=0))
                     if bad.any():
                         idx = int(np.argmax(bad))
+                        t = float(np.cumsum(steps[: k + 1])[-1])  # sequential, unlike 3.12's sum()
                         raise NumericalBlowup(
                             f"non-finite state on path {idx} near t={t:.6g}",
                             path_index=idx,

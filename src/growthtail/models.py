@@ -458,6 +458,8 @@ def _lg1d_solve(model: LinearFactor1D, theta: float) -> tuple[float, float]:
         * (model.rho * model.gamma_norm * c + model.B1 / model.sigma_norm)
         / root
     )
+    if not (math.isfinite(c) and math.isfinite(d)):
+        raise OverflowError(f"(C, D) at theta={theta} overflows the closed form")
     return c, d
 
 
@@ -483,7 +485,7 @@ def lg1d_gamma(model: LinearFactor1D, theta: float) -> float:
         + t1 * (model.B0 / s) * model.rho * g * d
         + 0.5 * t1 * model.B0**2 / s**2
     )
-    if not math.isfinite(value):  # C and D overflow at tilts far below -1e150
+    if not math.isfinite(value):  # the terms overflow at tilts far below -1e150
         raise OverflowError(f"Gamma({theta}) overflows the closed form")
     return value
 

@@ -27,15 +27,16 @@ assumed anywhere.
 
 The linear coefficient D then solves A_cl' D = -t1 (s gamma' C + B1)'(ss')^-1 B0
 directly, and the curve value Gamma(theta) and the affine feedback policy
-follow in closed form from (C, D).  The coefficients are built once per tilt
-and shared by every step at that tilt; :func:`solve_care` returns Gamma(theta)
-and the residual and eigenvalue certificates it checked with the solution.
+follow in closed form from (C, D).  Products that no tilt changes are built once
+per model and the coefficients once per tilt; :func:`solve_care` returns
+Gamma(theta) and the residual and eigenvalue certificates it checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,6 +99,13 @@ class LinearFactorMD(FactorMarket):
         qv = solve_care(self, theta)
         return qv.C, qv.D
 
+    @cached_property
+    def _products(self):
+        """(ss')^-1, s'(ss')^-1 s, gg' and sg': the products no tilt changes."""
+        Sinv = np.linalg.inv(self.sigma @ self.sigma.T)
+        sg = self.sigma @ self.gamma.T
+        return Sinv, self.sigma.T @ Sinv @ self.sigma, self.gamma @ self.gamma.T, sg
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticValue:
@@ -112,17 +120,11 @@ class QuadraticValue:
     eig_max_real: float
 
 
-def _sinv(model: LinearFactorMD, theta: float) -> np.ndarray:
-    """(ss')^-1 for use at the tilt, after the tilt guard."""
-    _check_tilt(theta)
-    return np.linalg.inv(model.sigma @ model.sigma.T)
-
-
 def _coefficients(model: LinearFactorMD, theta: float):
     """(M, Kt, N, Sinv, t1) at the tilt, built once and passed to every use there."""
-    Sinv = _sinv(model, theta)
+    _check_tilt(theta)
+    Sinv, proj, _, _ = model._products
     t1 = theta / (1.0 - theta)
-    proj = model.sigma.T @ Sinv @ model.sigma
     q = model.sigma.shape[1]
     M = model.gamma @ (np.eye(q) + t1 * proj) @ model.gamma.T
     Kt = model.K + t1 * model.gamma @ model.sigma.T @ Sinv @ model.B1
@@ -139,8 +141,10 @@ def _residual(C: np.ndarray, coef) -> tuple[np.ndarray, float]:
 
 
 def riccati_residual(model: LinearFactorMD, theta: float, C) -> float:
-    """Frobenius norm of the symmetrized Riccati left-hand side at C."""
+    """Frobenius norm of the symmetrized Riccati left-hand side at C, which must be finite."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
+    if not np.all(np.isfinite(C)):
+        raise ValueError("C must be finite")
     return _residual(C, _coefficients(model, theta))[1]
 
 
@@ -225,7 +229,7 @@ def _solve_C(coef, theta: float) -> tuple[np.ndarray, float, float]:
 def _gamma(model: LinearFactorMD, coef, C: np.ndarray, D: np.ndarray) -> float:
     M, _, _, Sinv, t1 = coef
     return float(
-        0.5 * np.trace(model.gamma @ model.gamma.T @ C)
+        0.5 * np.trace(model._products[2] @ C)
         + 0.5 * D @ M @ D
         + t1 * model.B0 @ Sinv @ model.sigma @ model.gamma.T @ D
         + 0.5 * t1 * model.B0 @ Sinv @ model.B0
@@ -249,7 +253,7 @@ def solve_care(model: LinearFactorMD, theta: float) -> QuadraticValue:
     if not eig <= _HURWITZ_MARGIN:
         raise NoStabilizingSolution(f"closed-loop drift not Hurwitz at theta={theta}")
     A_cl = Kt + M @ C
-    rhs = -t1 * (model.sigma @ model.gamma.T @ C + model.B1).T @ Sinv @ model.B0
+    rhs = -t1 * (model._products[3] @ C + model.B1).T @ Sinv @ model.B0
     try:
         D = np.linalg.solve(A_cl.T, rhs)
     except np.linalg.LinAlgError as exc:
@@ -267,9 +271,9 @@ def gamma_md(model: LinearFactorMD, theta: float, qv: QuadraticValue) -> float:
 
 def policy_md(model: LinearFactorMD, theta: float, qv: QuadraticValue) -> FeedbackPolicy:
     """Affine feedback fractions pi(y) = gain y + intercept at the given tilt."""
-    Sinv = _sinv(model, theta)
+    _check_tilt(theta)
+    Sinv, _, _, sg = model._products
     scale = 1.0 / (1.0 - theta)
-    sg = model.sigma @ model.gamma.T
     gain = scale * Sinv @ (model.B1 + sg @ qv.C)
     intercept = scale * Sinv @ (model.B0 + sg @ qv.D)
     return FeedbackPolicy(gain=gain, intercept=intercept)

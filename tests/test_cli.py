@@ -738,6 +738,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: theta_tilt={tilt} lies outside the model's domain")
 
+    def test_overflowing_policy_is_a_numerical_failure(self, model_file, capsys):
+        # lg_rho05's C and D overflow at theta = -1e308: the policy is never built
+        record = {"K": -1.2, "B1": 0.8, "B0": 0.4, "sigma_norm": 0.9, "gamma_norm": 1.1, "rho": 0.5}
+        code = main(["simulate", "--model", model_file(record), "--theta=-1e308",
+                     "--paths", "100", "--horizon", "1", "--dt", "0.1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: OverflowError")
+
     def test_blowup_without_numpy_warnings(self, model_file, capsys):
         # sigma'pi overflows at the first step; only the finiteness check reports it
         with warnings.catch_warnings():

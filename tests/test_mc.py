@@ -366,13 +366,97 @@ class TestDeterminism:
 class TestNoiseWorker:
     """The worker that draws the noise ahead never outlives a run."""
 
-    def test_handoffs_cover_the_run(self):
-        for n_steps in (1, 10, 21, 22, 100):
-            for run in (1, 3, 11, 22):
-                spans = mc._handoffs(n_steps, run)
+    def test_handoffs_cover_the_run(self, bs, monkeypatch):
+        # every handoff but the last holds the fewest steps that hold 2**16
+        # normals, and the last may be shorter, in line and on the pool alike
+        real = mc._fill
+        spans = []
+
+        def fill(seed, substream, steps, span, buf):
+            spans.append(span)
+            real(seed, substream, steps, span, buf)
+
+        monkeypatch.setattr(mc, "_fill", fill)
+        for n_paths, run in ((70000, 1), (21846, 3), (6000, 11), (2979, 22)):
+            assert run == -(-mc._HANDOFF_NORMALS // n_paths)  # q = 1
+            for n_steps in (1, 10, 21, 22, 100):
+                spans.clear()
+                simulate_paths(bs, const_policy(2.5), SimConfig(n_steps * 0.01, 0.01, n_paths, 4))
+                spans.sort(key=lambda span: span.start)
                 assert [k for span in spans for k in span] == list(range(n_steps))
-                assert all(len(span) >= run for span in spans) or len(spans) == 1
-                assert all(len(span) < 2 * run for span in spans) or len(spans) == 1
+                assert all(len(span) == run for span in spans[:-1])
+                assert 0 < len(spans[-1]) <= run
+
+    @pytest.mark.parametrize("tilt", [None, -0.5], ids=["direct", "tilted"])
+    @pytest.mark.parametrize("model", ["bs", "pr"])
+    def test_inline_short_last_handoff(self, request, model, tilt):
+        # 103 steps drawn in line in handoffs of 22 (bs) or 11 (pr) steps, the
+        # last one shorter; the T = 0.5 row ends inside the second handoff
+        m = request.getfixturevalue(model)
+        pol = PREFETCH_POLICIES[model]
+        cfg = SimConfig(horizon=2.05, dt=0.02, n_paths=3000, seed=17)
+        q = m.market().dims[2]
+        assert len(cfg.steps()) * cfg.n_paths * q < mc._PREFETCH_NORMALS
+        assert len(cfg.steps()) % -(-mc._HANDOFF_NORMALS // (cfg.n_paths * q))
+        CD = m.quadratic_pair(tilt) if tilt is not None else None
+        got, [early] = mc._run_paths(
+            m, pol, cfg, theta_tilt=tilt, CD=CD, substream=3, horizons=[0.5],
+            read=lambda L, Y, logw, T: (L.copy(), Y.copy(), logw.copy()),
+        )
+        for run, horizon in ((got, cfg.horizon), (early, 0.5)):
+            want = inline_run_paths(m, pol, replace(cfg, horizon=horizon), tilt, substream=3)
+            for a, b in zip(run, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tilt", [None, -0.5], ids=["direct", "tilted"])
+    @pytest.mark.parametrize("model", ["bs", "pr"])
+    def test_pooled_short_last_handoff(self, request, monkeypatch, model, tilt):
+        # 35 steps on the pool in handoffs of 3 (bs) or 2 (pr) steps, the last
+        # one shorter; the pool draws slowly, so the caller draws queued
+        # handoffs itself and later reaches handoffs it drew
+        m = request.getfixturevalue(model)
+        pol = PREFETCH_POLICIES[model]
+        cfg = SimConfig(horizon=3.45, dt=0.1, n_paths=30000, seed=17)
+        q = m.market().dims[2]
+        assert len(cfg.steps()) * cfg.n_paths * q >= mc._PREFETCH_NORMALS
+        assert len(cfg.steps()) % -(-mc._HANDOFF_NORMALS // (cfg.n_paths * q))
+        log = slow_worker_draws(monkeypatch)
+        got = prefetched_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        monkeypatch.undo()
+        assert sorted(step for step, _ in log) == list(range(len(cfg.steps())))
+        assert any(worker for _, worker in log)
+        assert any(step > 0 and not worker for step, worker in log)
+        want = inline_run_paths(m, pol, cfg, theta_tilt=tilt, substream=3)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "model, gain, intercept, tilt, horizon, n_paths, index, time",
+        [
+            # caught at the last step, a shortened one, or at the 64th of 65
+            ("bs", 0.0, 1e200, None, 1.05, 50, 0, "0x1.0ccccccccccccp+0"),
+            ("bs", 0.0, 1e200, None, 6.45, 50, 0, "0x1.9999999999992p+2"),
+            ("bs", 0.0, 1e200, 0.5, 1.05, 50, 0, "0x1.0ccccccccccccp+0"),
+            ("lg_rho0", 1e154, 0.0, None, 1.05, 200, 9, "0x1.0ccccccccccccp+0"),
+            ("lg_rho0", 5e153, 0.0, None, 6.45, 200, 65, "0x1.9999999999992p+2"),
+            ("lg_rho0", 1e154, 0.0, -0.5, 1.05, 200, 9, "0x1.0ccccccccccccp+0"),
+            ("lg_rho0", 5e153, 0.0, -0.5, 6.45, 200, 67, "0x1.9999999999992p+2"),
+        ],
+    )
+    def test_pinned_blowup_path_and_time(
+        self, request, model, gain, intercept, tilt, horizon, n_paths, index, time
+    ):
+        # recorded when the time was summed step by step during the run
+        m = request.getfixturevalue(model)
+        pol = FeedbackPolicy(gain=gain, intercept=intercept)
+        cfg = SimConfig(horizon=horizon, dt=0.1, n_paths=n_paths, seed=4)
+        with pytest.raises(NumericalBlowup) as info:
+            if tilt is None:
+                simulate_paths(m, pol, cfg)
+            else:
+                side = Side.UPSIDE if tilt > 0 else Side.DOWNSIDE
+                tilted_estimate_prob(m, pol, tilt, 0.0, side, cfg)
+        assert (info.value.path_index, float(info.value.time).hex()) == (index, time)
 
     @pytest.mark.parametrize("n_paths", [50, 1 << 16], ids=["in-line", "ahead"])
     def test_joined_after_normal_return(self, bs, monkeypatch, n_paths):

@@ -318,6 +318,13 @@ class TestLinearFactorScalars:
             with pytest.raises(DomainError, match="theta_bar"):
                 fn(lg_rho0, theta)
 
+    @pytest.mark.parametrize("fn", [lg1d_D, lg1d_policy, policy_at_tilt])
+    def test_overflowing_solve_raises(self, lg_rho05, fn):
+        # C and D overflow at theta = -1e308, as Gamma does: -inf and NaN
+        # coefficients must not come back as a policy or a D
+        with pytest.raises(OverflowError, match="overflows the closed form"):
+            fn(lg_rho05, -1e308)
+
     def test_policy_pr_closed_forms(self, pr):
         lf = pr.as_linear_factor()
         theta = pr_tilt(pr, 0.155)

@@ -235,6 +235,13 @@ class TestSolveCare:
 
 
 class TestResidual:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_C_rejected(self, bad):
+        C = np.zeros((2, 2))
+        C[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            riccati_residual(synthetic_m2(), 0.3, C)
+
     def test_zero_matrix_at_zero_tilt(self):
         model = synthetic_m2()
         assert riccati_residual(model, 0.0, np.zeros((2, 2))) == 0.0
