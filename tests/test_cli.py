@@ -61,6 +61,26 @@ def run_json(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def record_runs(monkeypatch):
+    """Lists that fill with (tilted, substream, horizon) for each ``mc._run_paths``
+    call and with each ``mc.rate_fit`` result."""
+    runs, fits = [], []
+    run_paths, rate_fit = mc._run_paths, mc.rate_fit
+
+    def recording(*args, **kwargs):
+        tilted = kwargs.get("theta_tilt") is not None
+        runs.append((tilted, kwargs.get("substream", 0), args[2].horizon))
+        return run_paths(*args, **kwargs)
+
+    def keeping(*args, **kwargs):
+        fits.append(rate_fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(mc, "_run_paths", recording)
+    monkeypatch.setattr(mc, "rate_fit", keeping)
+    return runs, fits
+
+
 class TestDual:
     def test_bs_grid_values(self, model_file, capsys):
         code, rows, out = run_csv(
@@ -363,7 +383,6 @@ class TestVerify:
         assert code == 0
         names = {c["name"] for c in payload["rows"]}
         assert "per_horizon_vs_gaussian_oracle" in names
-        assert "empirical_chebyshev" in names
 
     def test_theta_zero_trivially_passes(self, model_file, capsys):
         code, payload = run_json(
@@ -450,6 +469,11 @@ class TestVerify:
         assert gap["slope"] > gap["v"] + 0.02
 
 
+    # on lg_rho05, where no exact oracle exists, the fit's tilted row at T = 8
+    # reads 0.392, large enough for the agreement check and its direct sample
+    LG05_AGREEMENT = ["--ell", "0.35", "--tilt", "auto", "--paths", "2000", "--horizon", "8",
+                      "--dt", "0.1", "--seed", "11"]
+
     def test_upside_tilted_verify_simulates_direct_sample_once(
         self, model_file, capsys, monkeypatch
     ):
@@ -462,16 +486,12 @@ class TestVerify:
 
         monkeypatch.setattr(mc, "simulate_paths", counting)
         code, payload = run_json(
-            capsys,
-            [
-                "verify", "--model", model_file(BS), "--side", "up", "--ell", "0.245",
-                "--tilt", "auto", "--paths", "2000", "--horizon", "8", "--dt", "0.1",
-                "--seed", "11",
-            ],
+            capsys, ["verify", "--model", model_file(LG05), "--side", "up"] + self.LG05_AGREEMENT
         )
         assert code in (0, 1)
         names = {c["name"] for c in payload["rows"]}
-        assert {"empirical_chebyshev", "tilted_vs_direct_agreement"} <= names
+        assert "tilted_vs_direct_agreement" in names
+        assert "empirical_chebyshev" not in names
         assert len(calls) == 1 and calls[0].horizon == 8.0
 
     def test_agreement_check_reads_the_fit_row_at_the_horizon(
@@ -479,15 +499,35 @@ class TestVerify:
     ):
         # one tilted run serves every fit horizon, and a direct sample runs on
         # a substream of its own that no fit row reads
-        runs = []
-        original = mc._run_paths
+        runs, fits = record_runs(monkeypatch)
+        code, payload = run_json(
+            capsys, ["verify", "--model", model_file(LG05), "--side", "up"] + self.LG05_AGREEMENT
+        )
+        assert code in (0, 1)
+        assert sorted(runs) == [(False, 3, 8.0), (True, 0, 8.0)]
+        (fit,) = fits
+        assert [row.horizon for row in fit.rows] == [2.0, 4.0, 8.0]
+        rows = {c["name"]: c for c in payload["rows"]}
+        assert rows["tilted_vs_direct_agreement"]["tilted"] == fit.rows[-1].result.estimate
 
-        def recording(*args, **kwargs):
-            tilted = kwargs.get("theta_tilt") is not None
-            runs.append((tilted, kwargs.get("substream", 0), args[2].horizon))
-            return original(*args, **kwargs)
+    def test_agreement_check_reads_T_on_a_descending_grid(self, model_file, capsys, monkeypatch):
+        # the row at T is the grid's first here, not its last
+        runs, fits = record_runs(monkeypatch)
+        code, payload = run_json(
+            capsys,
+            ["verify", "--model", model_file(LG05), "--side", "up", "--grid", "8:2:3"]
+            + self.LG05_AGREEMENT,
+        )
+        assert code in (0, 1)
+        assert sorted(runs) == [(False, 3, 8.0), (True, 0, 8.0)]
+        (fit,) = fits
+        assert [row.horizon for row in fit.rows] == [8.0, 5.0, 2.0]
+        rows = {c["name"]: c for c in payload["rows"]}
+        assert rows["tilted_vs_direct_agreement"]["tilted"] == fit.rows[0].result.estimate
 
-        monkeypatch.setattr(mc, "_run_paths", recording)
+    def test_bs_tilted_verify_steps_one_tilted_run(self, model_file, capsys, monkeypatch):
+        # the exact Gaussian oracle checks the tilted rows: no direct sample is stepped
+        runs, _ = record_runs(monkeypatch)
         code, payload = run_json(
             capsys,
             [
@@ -497,11 +537,27 @@ class TestVerify:
             ],
         )
         assert code in (0, 1)
-        assert sorted(runs) == [(False, 3, 8.0), (True, 0, 8.0)]
-        rows = {c["name"]: c for c in payload["rows"]}
-        estimates = rows["per_horizon_vs_gaussian_oracle"]["estimates"]
-        assert len(estimates) == 3
-        assert rows["tilted_vs_direct_agreement"]["tilted"] == estimates[-1]
+        assert runs == [(True, 0, 8.0)]
+        assert [c["name"] for c in payload["rows"]] == [
+            "per_horizon_vs_gaussian_oracle", "decay_slope_vs_exact_oracle", "optimality_gap"
+        ]
+
+    def test_rare_factor_target_has_no_direct_run(self, model_file, capsys, monkeypatch):
+        # lg_rho05 at the bench's ell 1.0 and T 20: the tilted estimate at T is
+        # below 0.05, so the agreement check does not run and no direct sample is stepped
+        runs, fits = record_runs(monkeypatch)
+        code, payload = run_json(
+            capsys,
+            [
+                "verify", "--model", model_file(LG05), "--ell", "1.0", "--tilt", "auto",
+                "--paths", "2000", "--horizon", "20", "--dt", "0.1", "--seed", "11",
+            ],
+        )
+        assert code in (0, 1)
+        assert runs == [(True, 0, 20.0)]
+        assert fits[0].rows[-1].result.estimate < 0.05
+        assert [c["name"] for c in payload["rows"]] == ["decay_slope_vs_rate", "optimality_gap"]
+        assert payload["diagnostics"] == {"path_steps": 2000 * 20 * 10, "sim_runs": 1}
 
     def test_unreachable_target_expects_zero_hits(self, model_file, capsys):
         # below Lambda'(-inf) = 0 the all-cash policy keeps L = 0 > ell*T on every path
@@ -518,7 +574,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_diagnostics_count_the_simulated_work(self, model_file, capsys, fmt):
-        # the fit's one run to T and the direct sample at T: n * (T + T) / dt path-steps
+        # the fit's one tilted run to T and nothing else: n * T / dt path-steps
         argv = ["verify", "--model", model_file(BS), "--side", "up", "--ell", "0.245",
                 "--tilt", "auto", "--paths", "2000", "--horizon", "8", "--dt", "0.1",
                 "--seed", "11"]
@@ -529,8 +585,34 @@ class TestVerify:
             code, _, out = run_csv(capsys, argv)
             diag = dict(ln[2:].split("=", 1) for ln in out.splitlines() if ln.startswith("# "))
         assert code in (0, 1)
-        assert int(diag["path_steps"]) == 2000 * (8 + 8) * 10
-        assert int(diag["sim_runs"]) == 2
+        assert int(diag["path_steps"]) == 2000 * 8 * 10
+        assert int(diag["sim_runs"]) == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["bs", "ou", "factor", "factor-rho05"]),
+        side=st.sampled_from(["up", "down"]),
+        ell=st.floats(-0.1, 0.6),
+        tilt=st.one_of(st.sampled_from(["auto", 0.0]), st.floats(0.01, 0.6)),
+    )
+    def test_one_run_unless_the_agreement_check_runs(self, fuzz_models, kind, side, ell, tilt):
+        # the fit's one run, and a direct sample only for the agreement check;
+        # an explicit tilt takes the side's sign
+        if tilt != "auto" and side == "down":
+            tilt = -tilt
+        argv = ["verify", "--model", fuzz_models[kind], "--side", side, f"--ell={ell!r}",
+                f"--tilt={tilt}", "--paths", "200", "--horizon", "4", "--dt", "0.25",
+                "--seed", "5", "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code in (0, 1):
+            payload = json.loads(out.getvalue())
+            names = [c["name"] for c in payload["rows"]]
+            if names != ["unreachable_target_zero_hits"]:
+                agreement = "tilted_vs_direct_agreement" in names
+                assert payload["diagnostics"]["sim_runs"] == 1 + agreement, names
 
     @pytest.mark.parametrize(
         "argv",
@@ -618,6 +700,15 @@ class TestExitCodes:
             main(["simulate", "--model", model_file(BS), "--ell", "0.2", "--grid=1:2:3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid=1:2:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_target_and_tilt_are_exclusive(self, model_file, capsys, command):
+        # --ell and --theta name different estimates; neither is dropped silently
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_file(BS), "--ell", "0.2", "--theta", "0.5",
+                  "--paths", "100", "--horizon", "1", "--dt", "0.1"])
+        assert exc.value.code == 2
+        assert "argument --theta: not allowed with argument --ell" in capsys.readouterr().err
 
     def test_frontier_needs_a_target(self, model_file, capsys):
         assert main(["frontier", "--model", model_file(BS)]) == 2
